@@ -10,8 +10,10 @@ cross-run disk cache (now :mod:`repro.engine.graphstore`).  This bench times
   tree-walking evaluator;
 * **compiled** — a fresh compiled program per repeat (cold successor
   cache: the figure includes closure dispatch but no memoization wins);
-* **warm** — a second exploration of an already-explored program, where
-  every expansion is a successor-cache hit;
+* **warm** — a second exploration of an already-explored program (the
+  successor cache is warm, but value-plane exploration expands through
+  the batched kernels and never consults it, so this column now tracks
+  **compiled**);
 * **disk hit** — :func:`~repro.engine.graphstore.explore_with_cache`
   reloading a previously stored graph, skipping exploration entirely —
 
@@ -90,8 +92,7 @@ def _timed_explore(make_program):
 
 
 def _timed_warm_explore(ast):
-    """Median re-exploration time of an already-explored program (every
-    ``expand`` call is a successor-cache hit)."""
+    """Median re-exploration time of an already-explored program."""
 
     def warmed_program():
         program = Program(ast, compiled=True)

@@ -1,18 +1,14 @@
 """E19 — the content-addressed graph store: warm mmap loads and
 chunk-reusing incremental re-exploration.
 
-The graph-store PR replaced the v1 whole-graph JSON disk cache with
-:mod:`repro.engine.graphstore`: CSR and interner columns published as
-content-addressed binary chunks, per-configuration manifests, mmap-backed
-zero-copy warm loads and per-command-digest incremental re-exploration.
-This bench puts numbers on all four paths over the million-state
-``HypercubeRebound`` family —
+:mod:`repro.engine.graphstore` publishes explored graphs as
+content-addressed binary chunks under per-configuration manifests, with
+mmap-backed zero-copy warm loads and per-command-digest incremental
+re-exploration.  This bench puts numbers on all three paths over the
+million-state ``HypercubeRebound`` family —
 
 * **cold** — ``explore_with_cache`` into an empty directory: full BFS
   plus the chunked store;
-* **v1 warm** — the retired JSON format, kept as
-  ``store_graph_v1``/``load_graph_v1`` for migration: parse the whole
-  graph back from one JSON document;
 * **v2 warm** — a manifest hit: sha-verified mmap of the chunk files,
   columns adopted zero-copy, no exploration at all;
 * **incremental** — a one-command edit of the program (the ``rebound``
@@ -24,7 +20,7 @@ for every path against a from-scratch serial exploration.  Rows land in
 the experiment tables and in ``BENCH_cache.json`` at the repo root.
 
 ``ENGINE_BENCH_SMOKE=1`` shrinks the family to CI size; the acceptance
-gates — v2 warm ≥ 10× faster than v1 warm, and the single-command edit
+gates — v2 warm ≥ 10× faster than the cold exploration, and the single-command edit
 reusing ≥ 50 % of the base's chunks — apply only at full scale, and the
 verdict records the scale.
 """
@@ -48,12 +44,7 @@ from common import (
 from repro.analysis import Table
 from repro.engine import graph_digest
 from repro.engine import graphstore
-from repro.engine.graphstore import (
-    explore_with_cache,
-    last_outcome,
-    load_graph_v1,
-    store_graph_v1,
-)
+from repro.engine.graphstore import explore_with_cache, last_outcome
 from repro.ts import explore
 from repro.workloads import grid_hypercube_rebound
 
@@ -81,8 +72,8 @@ def _edited_program():
 def _prime(cache_dir, graph, program):
     """Store ``graph`` for ``program`` the way ``explore_with_cache``
     would, including the family tag the incremental planner matches on."""
-    key = graphstore.exploration_cache_key(program, None, None, None)
-    family = graphstore.family_key(program, None, None, None)
+    key = graphstore.exploration_cache_key(program, None, None)
+    family = graphstore.family_key(program, None, None)
     return graphstore.store_graph(graph, cache_dir, key, family=family)
 
 
@@ -103,19 +94,6 @@ def _timed_cold(tmp_root):
 
     median, graphs = timed_median(run, repeats=REPEATS, setup=fresh)
     return median, graphs[0]
-
-
-def _timed_v1_warm(cache_dir, graph, program):
-    """Median JSON reload time of the retired v1 format."""
-    key = graphstore.v1_cache_key(program, None, None, None)
-    store_graph_v1(graph, cache_dir, key)
-    median, results = timed_median(
-        lambda program: load_graph_v1(program, cache_dir, key),
-        repeats=REPEATS,
-        setup=_base_program,
-    )
-    assert all(loaded is not None for loaded in results)
-    return median, results[0]
 
 
 def _timed_v2_warm(cache_dir):
@@ -150,7 +128,7 @@ def _timed_incremental(cache_dir):
     republishing dedups against them)."""
     manifest = graphstore._manifest_path(
         cache_dir,
-        graphstore.exploration_cache_key(_edited_program(), None, None, None),
+        graphstore.exploration_cache_key(_edited_program(), None, None),
     )
 
     def without_manifest():
@@ -169,9 +147,9 @@ def _timed_incremental(cache_dir):
 def test_e19_graphstore():
     maybe_enable_bench_telemetry()
     table = Table(
-        "E19 — graph store: cold, v1 warm, mmap warm, incremental "
+        "E19 — graph store: cold, mmap warm, incremental "
         f"({'smoke sizes' if SMOKE else 'full sizes'})",
-        ["path", "states", "seconds", "vs v1 warm", "chunks reused",
+        ["path", "states", "seconds", "vs cold", "chunks reused",
          "identical"],
     )
     family = f"rebound({DIMS},{SIDE})"
@@ -184,7 +162,6 @@ def test_e19_graphstore():
 
         warm_dir = Path(tmp_root) / "warm"
         report = _prime(warm_dir, graph, _base_program())
-        v1_s, v1_graph = _timed_v1_warm(warm_dir, graph, _base_program())
         v2_s, v2_graph = _timed_v2_warm(warm_dir)
         warm_telemetry = last_telemetry()
 
@@ -194,7 +171,6 @@ def test_e19_graphstore():
         incr_s, incr_timed_graph = _timed_incremental(incr_dir)
 
         identical = {
-            "v1_warm": graph_digest(v1_graph) == reference,
             "v2_warm": graph_digest(v2_graph) == reference,
             "incremental": graph_digest(incr_graph) == edited_reference,
             "incremental_timed":
@@ -202,17 +178,15 @@ def test_e19_graphstore():
         }
         assert all(identical.values()), f"digest drift: {identical}"
 
-        warm_speedup = v1_s / v2_s if v2_s > 0 else float("inf")
+        warm_speedup = cold_s / v2_s if v2_s > 0 else float("inf")
         chunk_reuse = (
             outcome.chunks_reused / outcome.chunks_total
             if outcome.chunks_total
             else 0.0
         )
 
-        table.add("cold explore+store", states, f"{cold_s:.3f}", "-", "-",
-                  "yes")
-        table.add("v1 warm (json)", states, f"{v1_s:.3f}", "1.00x", "-",
-                  "yes")
+        table.add("cold explore+store", states, f"{cold_s:.3f}", "1.00x",
+                  "-", "yes")
         table.add("v2 warm (mmap)", states, f"{v2_s:.3f}",
                   f"{warm_speedup:.1f}x", "-", "yes")
         table.add(
@@ -235,17 +209,10 @@ def test_e19_graphstore():
             },
             {
                 "workload": family,
-                "measurement": "v1_warm",
-                "states": states,
-                "v1_warm_seconds": v1_s,
-                "identical": identical["v1_warm"],
-            },
-            {
-                "workload": family,
                 "measurement": "v2_warm",
                 "states": states,
                 "v2_warm_seconds": v2_s,
-                "warm_speedup_over_v1": warm_speedup,
+                "warm_speedup_over_cold": warm_speedup,
                 "peak_rss_kb": last_peak_rss_kb(),
                 "telemetry": warm_telemetry,
                 "identical": identical["v2_warm"],
@@ -269,7 +236,7 @@ def test_e19_graphstore():
         "scale": SCALE,
         "repeats": REPEATS,
         "family": family,
-        "warm_speedup_over_v1": warm_speedup,
+        "warm_speedup_over_cold": warm_speedup,
         "chunk_reuse": chunk_reuse,
         "verdict": {
             "scale": SCALE,
@@ -287,8 +254,8 @@ def test_e19_graphstore():
 
     if not SMOKE:
         assert warm_speedup >= MIN_WARM_SPEEDUP, (
-            f"mmap warm load is only {warm_speedup:.1f}x the v1 JSON "
-            f"reload on {family} (need {MIN_WARM_SPEEDUP}x)"
+            f"mmap warm load is only {warm_speedup:.1f}x the cold "
+            f"exploration on {family} (need {MIN_WARM_SPEEDUP}x)"
         )
         assert chunk_reuse >= MIN_CHUNK_REUSE, (
             f"the one-command edit reused only {chunk_reuse:.0%} of the "

@@ -17,7 +17,7 @@ which is what lets CI use this as a cheap perf tripwire::
 
     python benchmarks/compare.py                    # working tree vs HEAD
     python benchmarks/compare.py --rev v0           # vs a tag/commit
-    python benchmarks/compare.py --baseline-dir /tmp/old --only BENCH_shm.json
+    python benchmarks/compare.py --baseline-dir /tmp/old --only BENCH_cache.json
 
 ``--trajectory [DIR]`` is a different lens: no baseline, no gate — it
 reads *every* ``BENCH_*.json`` under ``DIR`` (default: the repo root) and

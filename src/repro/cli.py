@@ -66,12 +66,10 @@ def _explore(args: argparse.Namespace, program: Program):
         from repro.engine.graphstore import last_outcome
 
         outcome = last_outcome()
-        detail = {
-            "migrated": "hit, migrated from v1",
-            "incremental": (
-                f"miss, incremental: {outcome.reused_states} states replayed"
-            ),
-        }.get(outcome.kind, "hit" if hit else "miss")
+        if outcome.kind == "incremental":
+            detail = f"miss, incremental: {outcome.reused_states} states replayed"
+        else:
+            detail = "hit" if hit else "miss"
         print(f"graph cache: {detail} ({args.cache_dir})")
     return graph
 

@@ -15,16 +15,18 @@ index-native:
   and **adaptive dispatch** (small work demotes to serial, so ``--jobs N``
   never loses to the serial path), used by ``check_measure``,
   ``synthesize_measure`` and the benchmark sweeps;
-* :mod:`repro.engine.shard` — hash-sharded frontier-parallel exploration
-  over the persistent pool, bit-identical to the serial BFS by
-  construction (CLI ``--jobs`` on ``explore``/``decide``/``synthesize``);
+* :mod:`repro.engine.shard` — the value-plane expand step of the one
+  exploration loop: batched guard kernels per BFS round, with wide rounds
+  fanned out over the persistent pool through shared memory (CLI
+  ``--jobs`` on ``explore``/``decide``/``synthesize``); the graph is
+  bit-identical for every job count;
 * :mod:`repro.engine.graphstore` — an optional cross-run content-addressed
   on-disk store of explored graphs: columns as SHA-256-addressed binary
-  chunks under small per-``(program, bounds, jobs)`` manifests, mmap-backed
+  chunks under small per-``(program, bounds)`` manifests, mmap-backed
   zero-copy warm loads, incremental re-exploration that replays unchanged
   commands of an edited program from the stored columns (bit-identical to
-  a cold run), legacy v1 JSON migration, and LRU eviction with
-  chunk reference counting (CLI ``--cache-dir`` / ``--cache-max-mb``);
+  a cold run), and LRU eviction with chunk reference counting (CLI
+  ``--cache-dir`` / ``--cache-max-mb``);
 * :mod:`repro.engine.reference` — the pre-engine algorithms, preserved
   verbatim as the "before" baseline for benchmarks and as an independent
   oracle for equivalence tests.
@@ -52,11 +54,7 @@ from repro.engine.graphstore import (
     load_cached_graph,
     store_graph,
 )
-from repro.engine.shard import (
-    SHARD_ROUND_CUTOFF,
-    explore_sharded,
-    graph_digest,
-)
+from repro.engine.shard import SHARD_ROUND_CUTOFF, graph_digest
 
 __all__ = [
     "CommandTable",
@@ -69,7 +67,6 @@ __all__ = [
     "effective_jobs",
     "evict_cache",
     "exploration_cache_key",
-    "explore_sharded",
     "explore_with_cache",
     "get_pool",
     "graph_digest",

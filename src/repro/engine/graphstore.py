@@ -20,7 +20,7 @@ SHA-256 of its contents (``chunk-<digest>.bin``).  Identical content is
 stored once: two explorations that share column regions share chunk files,
 so publishing a near-identical graph writes only the chunks that differ.
 
-**Manifests** — a small JSON document per ``(program, bounds, jobs)`` key
+**Manifests** — a small JSON document per ``(program, bounds)`` key
 (``manifest-<key>.json``) naming the chunk digests of every column plus the
 program shape (variable names, command labels, per-command canonical
 digests) and the frontier.  Manifests are written *after* every chunk they
@@ -43,28 +43,26 @@ vanished chunk file or a torn manifest each degrade to a clean cache miss
 — the store never yields a wrong graph.
 
 **Incremental re-exploration** — when the exact key misses but a manifest
-for the same *family* (program name, variable layout, bounds, jobs)
+for the same *family* (program name, variable layout, bounds)
 exists, the stored graph seeds re-exploration of the edited program.
 Commands whose canonical per-command digest
 (:func:`repro.gcl.compile.command_digest`) is unchanged have identical
 guard/body semantics at every state, so for every state the base graph
 fully expanded, their enabled bits and successor rows are replayed from
 the mapped columns instead of re-evaluated; only edited/added commands run
-their compiled guards and bodies.  The replay feeds the ordinary serial
-BFS (same interning, same budgets, same observer stream), so the result
+their compiled guards and bodies.  The replay is the expand step of the
+ordinary BFS (same interning, same budgets, same observer stream), so the result
 is **bit-identical to a from-scratch exploration of the edited program**
 — enforced by digest comparison in the differential tests and the E19
 bench — while the follow-up publish reuses every chunk whose content
 survived the edit.
 
 Eviction (:func:`evict_cache`, CLI ``--cache-max-mb``) trims the
-directory to a size budget in least-recently-used order over *entries*
-(manifests and legacy v1 ``graph-*.json`` files both count toward the
-budget); chunks are reference-counted and deleted when their last
-manifest goes, and loading a manifest mtime-touches its chunks so shared
-chunks of hot graphs survive.  Unknown files in the cache directory are
-ignored, never fatal.  Legacy v1 entries are migrated on first use:
-a v1 hit is re-published in v2 format and the JSON entry deleted.
+directory to a size budget in least-recently-used order over manifests;
+chunks are reference-counted and deleted when their last manifest goes,
+and loading a manifest mtime-touches its chunks so shared chunks of hot
+graphs survive.  Unknown files in the cache directory (including the v1 cache's
+whole-graph ``graph-*.json`` entries) are ignored, never fatal.
 """
 
 from __future__ import annotations
@@ -89,8 +87,8 @@ from repro.telemetry import events
 if False:  # typing only — ts.explore imports this package, keep it lazy
     from repro.ts.explore import ReachableGraph
 
-#: On-disk format version.  v1 was the whole-graph JSON cache; entries in
-#: that layout are migrated (or evicted), never silently misread.
+#: On-disk format version.  v1 was the whole-graph JSON cache; its files
+#: are never read.
 FORMAT_VERSION = 2
 
 #: Default chunk size, in 8-byte words (8 MiB chunks).  Small enough that
@@ -136,21 +134,15 @@ def exploration_cache_key(
     program: Program,
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
-    n_jobs: Optional[int] = None,
 ) -> str:
-    """The content hash naming this ``(program, bounds, jobs)`` exploration.
+    """The content hash naming this ``(program, bounds)`` exploration.
 
     Canonicalising through the pretty printer makes the key insensitive to
     whitespace/comment differences in the source text while remaining
     sensitive to any semantic change (different guard, bound, initial
-    range, command order — all alter the rendering).  ``n_jobs`` enters the
-    key normalised through :func:`~repro.engine.parallel.resolve_jobs`
-    (``None``/``0``/``1`` share one key): the sharded explorer is
-    bit-identical to serial, but keying on the job count keeps every entry
-    attributable to the exact invocation that produced it.
+    range, command order — all alter the rendering).  The job count is not
+    part of the key: every job count explores the bit-identical graph.
     """
-    from repro.engine.parallel import resolve_jobs
-
     canonical = render_program(program.ast)
     payload = json.dumps(
         {
@@ -158,7 +150,6 @@ def exploration_cache_key(
             "program": canonical,
             "max_states": max_states,
             "max_depth": max_depth,
-            "jobs": resolve_jobs(n_jobs),
         },
         sort_keys=True,
     )
@@ -169,18 +160,15 @@ def family_key(
     program: Program,
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
-    n_jobs: Optional[int] = None,
 ) -> str:
     """The hash naming the *family* an entry belongs to.
 
     Two program versions share a family when they agree on everything the
     incremental replay needs structurally — program name, variable layout
-    (names in declaration order fix the value-tuple encoding), bounds and
-    job count — while their command texts may differ.  An exact-key miss
-    searches its family for a base graph to re-explore incrementally.
+    (names in declaration order fix the value-tuple encoding) and bounds —
+    while their command texts may differ.  An exact-key miss searches its
+    family for a base graph to re-explore incrementally.
     """
-    from repro.engine.parallel import resolve_jobs
-
     payload = json.dumps(
         {
             "format": FORMAT_VERSION,
@@ -188,7 +176,6 @@ def family_key(
             "names": list(program.variable_names),
             "max_states": max_states,
             "max_depth": max_depth,
-            "jobs": resolve_jobs(n_jobs),
         },
         sort_keys=True,
     )
@@ -213,8 +200,7 @@ class CacheOutcome:
     """What the last :func:`explore_with_cache` call in this process did.
 
     ``kind`` is one of ``"bypass"`` (no cache directory / uncacheable
-    system), ``"hit"`` (warm mmap load), ``"migrated"`` (legacy v1 entry
-    re-published as v2), ``"incremental"`` (chunk-reusing re-exploration
+    system), ``"hit"`` (warm mmap load), ``"incremental"`` (chunk-reusing re-exploration
     from a family base) or ``"cold"`` (full exploration).  The chunk
     counters describe the *publish* that followed a miss; ``reused_states``
     counts states whose expansion was replayed from the base graph.
@@ -333,7 +319,7 @@ def store_graph(
     deduplicated against the existing store; the manifest is written last
     and atomically, so a reader never sees a manifest whose payload has
     not landed.  ``family`` (the :func:`family_key` of the exploration's
-    bounds/jobs) marks the manifest as an incremental-base candidate for
+    bounds) marks the manifest as an incremental-base candidate for
     edited versions of the same program; entries stored without one are
     still perfectly good exact-key hits.
     """
@@ -804,8 +790,7 @@ class _IncrementalReuse:
     their compiled guard/body.  The assembled ``(enabled, posts)`` is —
     command by command, post by post — exactly what
     :meth:`Program._compute_expansion` would produce, which is the whole
-    bit-identity argument: the surrounding BFS is the stock serial
-    explorer.
+    bit-identity argument: the surrounding BFS is the stock explorer.
     """
 
     __slots__ = ("_program", "_base", "_plan", "_names", "reused", "fresh")
@@ -890,7 +875,6 @@ def find_incremental_base(
     cache_dir: os.PathLike,
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
-    n_jobs: Optional[int] = None,
 ) -> Optional[_IncrementalBase]:
     """The freshest same-family manifest sharing ≥1 command digest, mapped.
 
@@ -899,7 +883,7 @@ def find_incremental_base(
     is as quiet as any other — the caller just explores from scratch).
     """
     directory = Path(cache_dir)
-    family = family_key(program, max_states, max_depth, n_jobs)
+    family = family_key(program, max_states, max_depth)
     digests = program.command_digests()
     best: Optional[Tuple[float, str, Path, dict]] = None
     try:
@@ -960,13 +944,14 @@ def explore_incremental(
 ) -> Optional["ReachableGraph"]:
     """Re-explore ``program`` replaying unchanged commands from ``base``.
 
-    Runs the stock serial BFS with the replaying expander, so budgets,
+    Runs the stock BFS with the replaying expander as its expand step
+    (:class:`~repro.ts.explore.StateStep`), so budgets,
     strictness, frontier semantics and the event stream are exactly those
     of :func:`repro.ts.explore.explore`; the result is bit-identical to a
     from-scratch exploration of ``program``.  ``None`` when the program
     cannot replay (interpreted evaluation — no compiled commands).
     """
-    from repro.ts.explore import _explore_serial
+    from repro.ts.explore import StateStep, _explore_rounds
 
     program.validate_commands()
     try:
@@ -978,14 +963,12 @@ def explore_incremental(
     with telemetry.span(
         "explore", system=program.name, incremental=True
     ) as span:
-        graph = _explore_serial(
+        graph = _explore_rounds(
             program,
+            StateStep(reuse.expand, reuse.enabled),
             max_states,
             max_depth,
             strict,
-            None,
-            expand=reuse.expand,
-            enabled_fn=reuse.enabled,
         )
         telemetry.count("graphstore.incremental.runs")
         telemetry.count("graphstore.incremental.reused_states", reuse.reused)
@@ -1003,165 +986,6 @@ def explore_incremental(
 
 
 # ---------------------------------------------------------------------------
-# Legacy v1 entries (whole-graph JSON): migration + baseline
-# ---------------------------------------------------------------------------
-
-#: The v1 format version (whole-graph JSON, ``graph-<key>.json``).
-V1_FORMAT_VERSION = 1
-
-
-def v1_cache_key(
-    program: Program,
-    max_states: Optional[int] = None,
-    max_depth: Optional[int] = None,
-    n_jobs: Optional[int] = None,
-) -> str:
-    """The exact key the v1 cache would have used (for migration/tests)."""
-    from repro.engine.parallel import resolve_jobs
-
-    payload = json.dumps(
-        {
-            "format": V1_FORMAT_VERSION,
-            "program": render_program(program.ast),
-            "max_states": max_states,
-            "max_depth": max_depth,
-            "jobs": resolve_jobs(n_jobs),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _v1_entry_path(cache_dir: os.PathLike, key: str) -> Path:
-    return Path(cache_dir) / f"graph-{key}.json"
-
-
-def store_graph_v1(
-    graph: "ReachableGraph", cache_dir: os.PathLike, key: str
-) -> Path:
-    """Write a legacy v1 whole-graph JSON entry (migration tests, E19)."""
-    program = graph.system
-    if not isinstance(program, Program):
-        raise TypeError(
-            f"only Program graphs are cacheable, got {type(program).__name__}"
-        )
-    names = program.variable_names
-    labels = list(program.commands())
-    label_slot = {label: i for i, label in enumerate(labels)}
-    payload = {
-        "format": V1_FORMAT_VERSION,
-        "key": key,
-        "program": program.name,
-        "names": list(names),
-        "commands": labels,
-        "states": [list(state.values) for state in graph.states],
-        "transitions": [
-            [t.source, label_slot[t.command], t.target]
-            for t in graph.transitions
-        ],
-        "enabled": [
-            sorted(label_slot[c] for c in graph.enabled_at(i))
-            for i in range(len(graph))
-        ],
-        "initial_count": len(graph.initial_indices),
-        "frontier": sorted(graph.frontier),
-    }
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    target = _v1_entry_path(directory, key)
-    handle, temp_path = tempfile.mkstemp(
-        dir=directory, prefix=".graph-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, separators=(",", ":"))
-        os.replace(temp_path, target)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-    return target
-
-
-def load_graph_v1(
-    program: Program, cache_dir: os.PathLike, key: str
-) -> Optional["ReachableGraph"]:
-    """Reload a legacy v1 entry (full JSON parse and object rebuild)."""
-    from repro.ts.explore import IndexedTransition, ReachableGraph
-
-    path = _v1_entry_path(cache_dir, key)
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            payload = json.load(stream)
-    except (OSError, ValueError):
-        return None
-    try:
-        if payload["format"] != V1_FORMAT_VERSION or payload["key"] != key:
-            return None
-        names = tuple(payload["names"])
-        labels = payload["commands"]
-        if names != program.variable_names or tuple(labels) != program.commands():
-            return None
-        states = [
-            ProgramState(names, tuple(values)) for values in payload["states"]
-        ]
-        transitions = [
-            IndexedTransition(source, labels[slot], target)
-            for source, slot, target in payload["transitions"]
-        ]
-        enabled = [
-            frozenset(labels[slot] for slot in slots)
-            for slots in payload["enabled"]
-        ]
-        return ReachableGraph(
-            system=program,
-            states=states,
-            transitions=transitions,
-            enabled=enabled,
-            initial_count=payload["initial_count"],
-            frontier=payload["frontier"],
-        )
-    except (KeyError, IndexError, TypeError, ValueError):
-        return None
-
-
-def migrate_v1_entry(
-    program: Program,
-    cache_dir: os.PathLike,
-    v1_key: str,
-    v2_key: str,
-    family: Optional[str] = None,
-) -> Optional["ReachableGraph"]:
-    """Re-publish a legacy v1 entry in v2 format and delete the original.
-
-    Returns the migrated graph (a hit), or ``None`` when no readable v1
-    entry exists.  An unreadable/corrupt v1 entry is deleted rather than
-    re-parsed forever.
-    """
-    path = _v1_entry_path(cache_dir, v1_key)
-    if not path.exists():
-        return None
-    graph = load_graph_v1(program, cache_dir, v1_key)
-    if graph is None:
-        # Present but unusable: delete so the slot stops costing budget.
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        telemetry.count("graphstore.corrupt")
-        return None
-    store_graph(graph, cache_dir, v2_key, family=family)
-    try:
-        path.unlink()
-    except OSError:
-        pass
-    telemetry.count("graphstore.migrated")
-    return graph
-
-
-# ---------------------------------------------------------------------------
 # Eviction
 # ---------------------------------------------------------------------------
 
@@ -1173,8 +997,8 @@ def evict_cache(
     """Trim the cache directory to ``max_mb`` megabytes, LRU first.
 
     Everything the store may contain counts toward the budget: manifests,
-    the chunks they reference, *legacy v1* ``graph-*.json`` entries and
-    orphaned chunks.  Eviction removes whole entries oldest-mtime-first
+    the chunks they reference and orphaned chunks.  Eviction removes whole
+    entries oldest-mtime-first
     (loads touch the mtimes of a manifest and its chunks, so mtime order
     is recency order); a manifest's chunks are deleted when their last
     referencing manifest goes.  Orphaned chunks older than
@@ -1189,7 +1013,6 @@ def evict_cache(
     budget = int(max_mb * 1024 * 1024)
     directory = Path(cache_dir)
     manifests: List[Tuple[float, str, Path, int, List[str]]] = []
-    legacy: List[Tuple[float, str, Path, int]] = []
     chunk_sizes: Dict[str, int] = {}
     chunk_mtimes: Dict[str, float] = {}
     refs: Dict[str, set] = {}
@@ -1226,9 +1049,6 @@ def evict_cache(
             chunk_sizes[digest] = stat.st_size
             chunk_mtimes[digest] = stat.st_mtime
             total += stat.st_size
-        elif name.startswith("graph-") and name.endswith(".json"):
-            legacy.append((stat.st_mtime, name, path, stat.st_size))
-            total += stat.st_size
         # Anything else (temp files, user debris) is not ours to delete.
 
     removed: List[Path] = []
@@ -1261,20 +1081,11 @@ def evict_cache(
             continue
         _remove(_chunk_path(directory, digest), size)
 
-    entries: List[Tuple[float, str, Path, int, Optional[List[str]]]] = [
-        (mtime, name, path, size, digests)
-        for mtime, name, path, size, digests in manifests
-    ] + [
-        (mtime, name, path, size, None)
-        for mtime, name, path, size in legacy
-    ]
-    entries.sort()  # oldest first; name breaks mtime ties deterministically
-    for _, name, path, size, digests in entries:
+    manifests.sort()  # oldest first; name breaks mtime ties deterministically
+    for _, name, path, size, digests in manifests:
         if total <= budget:
             break
         _remove(path, size)
-        if digests is None:
-            continue
         for digest in digests:
             holders = refs.get(digest)
             if holders is not None:
@@ -1309,15 +1120,14 @@ def explore_with_cache(
     :func:`~repro.ts.explore.explore`.  Otherwise, in order:
 
     1. an exact-key **manifest hit** memory-maps the stored columns and
-       skips exploration entirely;
-    2. a legacy **v1 entry** under the v1 key is migrated to v2 (one last
-       JSON parse) and counts as a hit;
-    3. a same-family manifest with shared command digests seeds
+       skips exploration entirely — whatever ``n_jobs`` the entry was
+       published under, since every job count explores the same graph;
+    2. a same-family manifest with shared command digests seeds
        **incremental re-exploration** — unchanged commands replay from
        the mapped base columns, edited ones re-evaluate — bit-identical
        to a cold run;
-    4. otherwise a **cold** exploration runs (sharded across ``n_jobs``
-       workers when requested).
+    3. otherwise a **cold** exploration runs (wide rounds fanned out over
+       ``n_jobs`` workers when requested).
 
     Misses publish their result (chunks deduplicated against the store)
     and — when ``cache_max_mb`` is set — trim the cache LRU-first.
@@ -1371,25 +1181,12 @@ def _explore_with_cache(
             ),
             False,
         )
-    key = exploration_cache_key(program, max_states, max_depth, n_jobs)
+    key = exploration_cache_key(program, max_states, max_depth)
     cached = load_cached_graph(program, cache_dir, key)
     if cached is not None:
         return cached, True
-    migrated = migrate_v1_entry(
-        program,
-        cache_dir,
-        v1_cache_key(program, max_states, max_depth, n_jobs),
-        key,
-        family=family_key(program, max_states, max_depth, n_jobs),
-    )
-    if migrated is not None:
-        _LAST_OUTCOME = CacheOutcome(kind="migrated")
-        evict_cache(cache_dir, cache_max_mb)
-        return migrated, True
     graph = None
-    base = find_incremental_base(
-        program, cache_dir, max_states, max_depth, n_jobs
-    )
+    base = find_incremental_base(program, cache_dir, max_states, max_depth)
     if base is not None:
         graph = explore_incremental(
             program, base, max_states=max_states, max_depth=max_depth,
@@ -1409,7 +1206,7 @@ def _explore_with_cache(
         graph,
         cache_dir,
         key,
-        family=family_key(program, max_states, max_depth, n_jobs),
+        family=family_key(program, max_states, max_depth),
     )
     outcome.chunks_total = report.chunks_total
     outcome.chunks_reused = report.chunks_reused

@@ -1,7 +1,7 @@
 """The pre-engine algorithms, preserved as baseline and oracle.
 
-These are the seed implementations of SCC decomposition, measure checking
-and measure synthesis, kept byte-for-byte in behaviour (and deliberately
+These are the seed implementations of exploration, SCC decomposition,
+measure checking and measure synthesis, kept byte-for-byte in behaviour (and deliberately
 in *cost*: the reference ``decompose`` scans every graph transition per
 call, and the reference synthesis re-evaluates requirement predicates per
 region — the exact quadratic churn the engine removes).
@@ -11,13 +11,16 @@ Two consumers:
 * ``benchmarks/bench_e13_engine_scaling.py`` uses them as the "before"
   column of the speedup table;
 * ``tests/engine`` uses them as an independently-written oracle that the
-  engine fast paths must match bit-for-bit.
+  engine fast paths must match bit-for-bit (:func:`explore_reference` is
+  test-only: the FIFO loop the round-based explorer must reproduce).
 
 Do not optimise this module.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.fairness.generalized import FairnessRequirement, command_requirements
@@ -30,8 +33,115 @@ from repro.measures.verification import (
     TransitionViolation,
     find_active_level_general,
 )
-from repro.ts.explore import IndexedTransition, ReachableGraph
+from repro.ts.explore import (
+    ExplorationLimitError,
+    IndexedTransition,
+    ReachableGraph,
+)
 from repro.ts.graph import SccDecomposition, tarjan_scc
+
+
+def explore_reference(
+    system,
+    max_states: Optional[int] = None,
+    max_depth: Optional[int] = None,
+    strict: bool = False,
+) -> ReachableGraph:
+    """Seed ``explore``: a FIFO queue, one ``system.expand`` per pop.
+
+    No observer, telemetry, job count or replay hooks — the per-state
+    loop the round-based explorer replaced, kept as the oracle whose
+    graph (states, transition order, enabled sets, frontier, strict
+    message) every exploration must reproduce.
+    """
+    states: List = []
+    index: Dict = {}
+    depth: List[int] = []
+    for s in system.initial_states():
+        if s not in index:
+            index[s] = len(states)
+            states.append(s)
+            depth.append(0)
+    initial_count = len(states)
+    if initial_count == 0:
+        raise ValueError("system has no initial states")
+
+    labels: List[str] = list(system.commands())
+    label_ids: Dict[str, int] = {label: k for k, label in enumerate(labels)}
+
+    def mask_of(enabled) -> int:
+        mask = 0
+        for label in enabled:
+            if label not in label_ids:
+                label_ids[label] = len(labels)
+                labels.append(label)
+            mask |= 1 << label_ids[label]
+        return mask
+
+    edges: List[Tuple[int, str, int]] = []
+    masks: List[Optional[int]] = [None] * initial_count
+    expanded: List[bool] = [False] * initial_count
+    frontier: Set[int] = set()
+    truncated = False
+    queue = deque(range(initial_count))
+    while queue:
+        i = queue.popleft()
+        if expanded[i]:
+            continue
+        if max_depth is not None and depth[i] > max_depth:
+            frontier.add(i)
+            truncated = True
+            continue
+        expanded[i] = True
+        enabled, posts = system.expand(states[i])
+        masks[i] = mask_of(enabled)
+        for command, target in posts:
+            j = index.get(target)
+            if j is None:
+                if max_states is not None and len(states) >= max_states:
+                    # A new successor lost at the budget: the source
+                    # becomes frontier.
+                    frontier.add(i)
+                    truncated = True
+                    break
+                j = len(states)
+                index[target] = j
+                states.append(target)
+                depth.append(depth[i] + 1)
+                masks.append(None)
+                expanded.append(False)
+            edges.append((i, command, j))
+            if not expanded[j]:
+                queue.append(j)
+
+    if truncated and strict:
+        raise ExplorationLimitError(
+            f"exploration truncated at {len(states)} states "
+            f"(max_states={max_states}, max_depth={max_depth})"
+        )
+    frontier.update(i for i in range(len(states)) if not expanded[i])
+    for i in range(len(states)):
+        if masks[i] is None:
+            masks[i] = mask_of(system.enabled(states[i]))
+    kept = [edge for edge in edges if edge[0] not in frontier]
+    cmd = array("q")
+    for _, command, _ in kept:
+        if command not in label_ids:
+            label_ids[command] = len(labels)
+            labels.append(command)
+        cmd.append(label_ids[command])
+    return ReachableGraph.from_arrays(
+        system=system,
+        states=states,
+        labels=labels,
+        src=array("q", [edge[0] for edge in kept]),
+        cmd=cmd,
+        dst=array("q", [edge[2] for edge in kept]),
+        enabled_masks=masks,
+        initial_count=initial_count,
+        frontier=frontier,
+        index=index,
+    )
 
 
 def decompose_reference(

@@ -1,35 +1,24 @@
-"""Hash-sharded frontier-parallel exploration, bit-identical to serial BFS.
+"""The value-plane expand step, with pool fan-out for wide rounds.
 
-**Why this is possible at all.**  The serial explorer
-(:func:`repro.ts.explore.explore`) pops its queue in first-discovery order,
-so states are expanded in ascending intern-index order, level by level: the
-states discovered in BFS round ``r`` occupy a contiguous index range and
-are all expanded — with identical budget/depth bookkeeping — before any
-state of round ``r + 1``.  Expansion itself (``system.expand``) is a *pure*
-function of the state.  So exploration factors into
+:func:`repro.ts.explore.explore` runs one level-synchronous BFS for every
+system; this module supplies its expand step for *value-plane* programs
+(:meth:`~repro.ts.system.TransitionSystem.value_plane`: compiled, at least
+one variable, at most 64 commands).  Their states travel as flat int64
+value rows, and a round of pending rows expands through the batched guard
+kernels (:meth:`~repro.gcl.compile.CompiledProgram.expand_batch`) — one
+kernel call per guard per round instead of one closure call per guard per
+state.  A single-row round skips the batch framing and calls
+:meth:`~repro.gcl.compile.CompiledProgram.expand_values` directly, so
+narrow BFS levels stay as cheap as a per-state loop.
 
-1. an embarrassingly parallel part — computing ``(enabled, posts)`` for
-   every state of the current round — and
-2. a cheap, inherently serial part — interning successors, assigning
-   indices, recording transitions, and applying ``max_states`` /
-   ``max_depth`` / ``strict`` accounting.
-
-This module parallelises (1) and replays (2) verbatim: each round, the
-pending states are partitioned by ``hash(state) % n_shards``, every worker
-in the persistent pool (:mod:`repro.engine.parallel`) expands its shard and
-sends back successor batches (states deduplicated per shard, command labels
-encoded against the coordinator's label table), and the coordinator merges
-the batches **in pending order, posts order** — exactly the order the
-serial loop would have seen them.  State indices, transition order,
-enabled masks, frontier sets and :class:`ExplorationLimitError` behaviour
-are therefore bit-identical to the serial path; the differential tests in
-``tests/engine/test_shard.py`` enforce this for 1/2/4 shards on complete
-and bounded exploration of every workload family.
-
-Workers receive the system once as a picklable *shard spec*
-(:meth:`~repro.ts.system.TransitionSystem.shard_spec`) and cache the
-rebuilt instance process-locally, so per-round traffic is states in,
-``(mask, posts)`` batches out.
+A round fans out over the persistent worker pool only when
+:func:`_round_dispatch` says so (``jobs > 1``, more than one core, at
+least :data:`SHARD_ROUND_CUTOFF` pending states).  The value rows are
+then published once through a shared-memory arena (:mod:`repro.engine.shm`)
+and each worker task is just an index array; when shared memory is
+unavailable the round runs in-process instead.  Where a row is expanded
+never changes the merge order, so the graph is the same either way — the
+bit-identity argument lives with the merge in :mod:`repro.ts.explore`.
 """
 
 from __future__ import annotations
@@ -37,30 +26,23 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import time
 from array import array
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine import shm
-from repro.engine.interning import StateInterner
-from repro.engine.parallel import _FORCE_ENV, parallel_map, resolve_jobs
+from repro.engine.parallel import _FORCE_ENV, parallel_map
 from repro.telemetry import core as telemetry
-from repro.telemetry import events
-
-#: Set to ``0`` to disable the value-plane/shared-memory exploration path
-#: and restore the object-pickling coordinator for every system (rollback
-#: and the benchmark baseline column).
-VALUE_PLANE_ENV = "REPRO_VALUE_PLANE"
 
 #: Rounds with fewer pending states than this are expanded in-process: the
-#: per-round pool round-trip (pickle states out, results back) costs more
-#: than expanding a narrow BFS level locally.  ``REPRO_FORCE_PARALLEL=1``
-#: overrides, so tests can push single-state rounds through the pool.
+#: per-round pool round-trip costs more than expanding a narrow BFS level
+#: locally.  ``REPRO_FORCE_PARALLEL=1`` overrides, so tests can push
+#: single-state rounds through the pool.
 SHARD_ROUND_CUTOFF = 2048
 
-#: Worker-process cache of rebuilt systems, keyed by spec digest.  Workers
-#: are long-lived (the pool persists), so a multi-round exploration — or a
-#: sequence of explorations of the same system — unpickles the spec once.
+#: Worker-process cache of unpickled value planes, keyed by spec digest.
+#: Workers are long-lived (the pool persists), so a multi-round
+#: exploration — or a sequence of explorations of the same program —
+#: unpickles the plane once.
 _WORKER_SYSTEMS: Dict[str, object] = {}
 
 
@@ -72,52 +54,6 @@ def _shard_system(digest: str, spec: bytes):
     return system
 
 
-def _expand_shard(task):
-    """Expand one shard of a BFS round (runs in a worker process).
-
-    ``task`` is ``(digest, spec, labels, states)``.  Returns
-    ``(results, targets)`` where ``targets`` is the shard's deduplicated
-    successor batch and ``results[k]`` is, for ``states[k]``::
-
-        (enabled_mask, stray_enabled_labels, ((cmd_ref, target_ref), ...))
-
-    ``enabled_mask`` is over ``labels`` (the coordinator's table snapshot);
-    commands not yet in it travel as literal strings.  ``target_ref``
-    indexes ``targets`` — interning back to global state indices happens in
-    the coordinator, in serial order.
-    """
-    digest, spec, labels, shard_states = task
-    system = _shard_system(digest, spec)
-    # Worker-side counters; aggregated back to the coordinator's registry
-    # by the pool's delta collection at the round boundary.
-    telemetry.count("shard.states_expanded", len(shard_states))
-    ids = {label: k for k, label in enumerate(labels)}
-    targets: List[object] = []
-    ref_of: Dict[object, int] = {}
-    results = []
-    for state in shard_states:
-        enabled, posts = system.expand(state)
-        mask = 0
-        strays: Tuple[str, ...] = ()
-        for label in enabled:
-            k = ids.get(label)
-            if k is None:
-                strays += (label,)
-            else:
-                mask |= 1 << k
-        encoded = []
-        for command, target in posts:
-            ref = ref_of.get(target)
-            if ref is None:
-                ref = len(targets)
-                ref_of[target] = ref
-                targets.append(target)
-            encoded.append((ids.get(command, command), ref))
-        results.append((mask, strays, tuple(encoded)))
-    telemetry.count("shard.posts", sum(len(r[2]) for r in results))
-    return results, targets
-
-
 def _round_dispatch(jobs: int, pending_count: int) -> Tuple[int, str]:
     """Adaptive per-round dispatch (mirrors :func:`effective_jobs`).
 
@@ -125,7 +61,7 @@ def _round_dispatch(jobs: int, pending_count: int) -> Tuple[int, str]:
     in-process — the "``--jobs N`` never loses" guarantee applies per
     round, since level widths vary wildly within one exploration.
     Returns ``(workers, reason)``; the reason labels the telemetry
-    counter recording why a round fell back to serial.
+    counter recording why a round stayed in-process.
     """
     if jobs <= 1 or pending_count == 0:
         return 1, "serial_request"
@@ -138,737 +74,127 @@ def _round_dispatch(jobs: int, pending_count: int) -> Tuple[int, str]:
     return jobs, "parallel"
 
 
-def _round_workers(jobs: int, pending_count: int) -> int:
-    """Back-compat wrapper: the worker count from :func:`_round_dispatch`."""
-    return _round_dispatch(jobs, pending_count)[0]
+class ValuePlaneStep:
+    """The expand step of a value-plane program: keys are value rows.
 
-
-def value_plane_of(system):
-    """The system's value plane, unless disabled via the environment."""
-    if os.environ.get(VALUE_PLANE_ENV) == "0":
-        return None
-    getter = getattr(system, "value_plane", None)
-    if getter is None:
-        return None
-    return getter()
-
-
-def explore_sharded(
-    system,
-    spec: bytes,
-    max_states: Optional[int] = None,
-    max_depth: Optional[int] = None,
-    strict: bool = False,
-    n_jobs: Optional[int] = None,
-    observer=None,
-):
-    """Frontier-parallel BFS exploration; results bit-identical to serial.
-
-    Called by :func:`repro.ts.explore.explore` when ``n_jobs > 1`` and the
-    system provided a shard ``spec``; not normally invoked directly.
-    ``observer`` callbacks fire during the serial merge — in exactly the
-    serial explorer's event order — and a :class:`StopExploration` raised
-    by one cancels the round loop, so no further round is dispatched to
-    the worker pool.
+    Built by :meth:`prepare`; :func:`repro.ts.explore.explore` calls
+    :meth:`dispatch` and :meth:`expand` once per round and :meth:`close`
+    when the exploration ends, however it ends (the shared-memory arena
+    dies with the exploration).
     """
-    from repro.ts.explore import StopExploration, _finish_graph, _stop_counters
 
-    jobs = resolve_jobs(n_jobs)
+    name = "values"
+    keys_are_states = False
 
-    plane = value_plane_of(system)
-    if plane is not None:
-        prepared = _prepare_value_rounds(system, plane)
-        if prepared is not None:
-            return _explore_rounds_values(
-                system,
-                plane,
-                prepared,
-                max_states=max_states,
-                max_depth=max_depth,
-                strict=strict,
-                jobs=jobs,
-                observer=observer,
-            )
-
-    digest = hashlib.sha256(spec).hexdigest()
-
-    interner = StateInterner()
-    states = interner.states
-    for s in system.initial_states():
-        interner.intern(s)
-    initial_count = len(states)
-    if initial_count == 0:
-        raise ValueError("system has no initial states")
-
-    labels: List[str] = list(system.commands())
-    label_ids: Dict[str, int] = {label: k for k, label in enumerate(labels)}
-    src = array("q")
-    cmd = array("q")
-    dst = array("q")
-    emask_of: List[int] = [-1] * initial_count
-    expanded = bytearray(initial_count)
-    frontier: Set[int] = set()
-    truncated = False
-    stopped = False
-
-    pending: List[int] = list(range(initial_count))
-    round_depth = 0
-    traced = telemetry.enabled()
-    progress = telemetry.progress_reporter()
-    round_events = events.round_ticker()
-    # Shared mask → frozenset memo for ``on_expanded`` notifications.
-    mask_labels: Dict[int, frozenset] = {}
-
-    if observer is not None:
-        try:
-            for idx in range(initial_count):
-                observer.on_state(idx, states[idx], 0)
-        except StopExploration:
-            stopped = True
-            pending = []
-
-    while pending:
-        if max_depth is not None and round_depth > max_depth:
-            # Every pending state sits at the same BFS depth — the depth
-            # bound cuts the whole round, exactly as the serial loop marks
-            # each of these states frontier when it pops them.
-            frontier.update(pending)
-            truncated = True
-            break
-
-        workers, dispatch = _round_dispatch(jobs, len(pending))
-        if traced:
-            telemetry.count("shard.rounds")
-            telemetry.count(
-                "shard.parallel_rounds" if workers > 1 else "shard.serial_rounds"
-            )
-            if workers <= 1:
-                telemetry.count(f"shard.serial_round.{dispatch}")
-            telemetry.observe("shard.round_pending", len(pending))
-        if progress is not None:
-            progress.maybe(len(states), len(pending), round_depth)
-        round_events.tick(
-            round_depth, len(pending), len(states), workers, dispatch
-        )
-        round_span = telemetry.span(
-            "shard_round",
-            round=round_depth,
-            pending=len(pending),
-            workers=workers,
-        )
-        with round_span:
-            if workers > 1:
-                round_results = _expand_round_parallel(
-                    digest, spec, labels, states, pending, workers
-                )
-            else:
-                round_results = _expand_round_serial(
-                    system, label_ids, states, pending
-                )
-            merge_started = time.perf_counter() if traced else 0.0
-
-            next_pending, truncated, stopped = _merge_round(
-                pending,
-                round_results,
-                interner,
-                states,
-                labels,
-                label_ids,
-                src,
-                cmd,
-                dst,
-                emask_of,
-                expanded,
-                frontier,
-                truncated,
-                max_states,
-                observer,
-                round_depth + 1,
-                mask_labels,
-            )
-            if traced:
-                telemetry.observe(
-                    "shard.merge_s", time.perf_counter() - merge_started
-                )
-        if stopped:
-            # StopExploration during the merge: pending states of this
-            # round that were not merged yet stay unexpanded (they become
-            # frontier), and no further round reaches the pool.
-            break
-        pending = next_pending
-        round_depth += 1
-
-    if stopped:
-        _stop_counters(len(states))
-    if progress is not None:
-        progress.close()
-    return _finish_graph(
-        system=system,
-        interner=interner,
-        labels=labels,
-        label_ids=label_ids,
-        src=src,
-        cmd=cmd,
-        dst=dst,
-        emask_of=emask_of,
-        expanded=expanded,
-        frontier=frontier,
-        initial_count=initial_count,
-        truncated=truncated,
-        strict=strict,
-        max_states=max_states,
-        max_depth=max_depth,
+    __slots__ = (
+        "plane",
+        "jobs",
+        "make_state",
+        "enabled",
+        "_expand_one",
+        "_spec",
+        "_arena",
+        "_values",
     )
 
+    def __init__(self, system, plane, jobs: int) -> None:
+        self.plane = plane
+        self.jobs = jobs
+        self.make_state = plane.make_state
+        self.enabled = system.enabled
+        self._expand_one = plane.expand_values
+        #: ``(digest, pickled plane)`` once a round first fans out;
+        #: ``False`` once the pool path proved unusable here.
+        self._spec = None
+        self._arena: Optional[shm.ShmArena] = None
+        #: Flat mirror of every interned row, published to the arena.
+        self._values = array("q")
 
-def _merge_round(
-    pending,
-    round_results,
-    interner,
-    states,
-    labels,
-    label_ids,
-    src,
-    cmd,
-    dst,
-    emask_of,
-    expanded,
-    frontier,
-    truncated,
-    max_states,
-    observer=None,
-    successor_depth=0,
-    mask_labels=None,
-):
-    """The serial merge of one round's expansion batches.
-
-    Replays the serial explorer's interning/budget bookkeeping verbatim
-    (the bit-identity argument lives here); factored out of the round
-    loop so the coordinator can time it separately from expansion.
-    Observer callbacks fire here, in the serial event order; a
-    :class:`StopExploration` raised by one stops the merge mid-state
-    (the in-flight state reverts to unexpanded unless the stop came from
-    its own ``on_expanded``).  Returns ``(next_pending, truncated,
-    stopped)``.
-    """
-    from repro.ts.explore import StopExploration
-
-    next_pending: List[int] = []
-    i = -1
-    finalized = -1
-    try:
-        for i, (mask, strays, posts, targets) in zip(pending, round_results):
-            expanded[i] = 1
-            for label in strays:
-                k = label_ids.get(label)
-                if k is None:
-                    k = len(labels)
-                    label_ids[label] = k
-                    labels.append(label)
-                mask |= 1 << k
-            emask_of[i] = mask
-            at_budget = max_states is not None and len(states) >= max_states
-            for cmd_ref, target_ref in posts:
-                target = targets[target_ref]
-                if at_budget:
-                    j = interner.lookup(target)
-                    if j is None:
-                        frontier.add(i)
-                        truncated = True
-                        break
-                else:
-                    j, is_new = interner.intern(target)
-                    if is_new:
-                        emask_of.append(-1)
-                        expanded.append(0)
-                        next_pending.append(j)
-                        at_budget = (
-                            max_states is not None and len(states) >= max_states
-                        )
-                        if observer is not None:
-                            observer.on_state(j, target, successor_depth)
-                if isinstance(cmd_ref, int):
-                    k = cmd_ref
-                else:
-                    k = label_ids.get(cmd_ref)
-                    if k is None:
-                        k = len(labels)
-                        label_ids[cmd_ref] = k
-                        labels.append(cmd_ref)
-                src.append(i)
-                cmd.append(k)
-                dst.append(j)
-                if observer is not None:
-                    observer.on_transition(i, labels[k], j)
-            else:
-                if observer is not None:
-                    enabled_set = mask_labels.get(mask)
-                    if enabled_set is None:
-                        mask_labels[mask] = enabled_set = frozenset(
-                            labels[b]
-                            for b in range(mask.bit_length())
-                            if (mask >> b) & 1
-                        )
-                    finalized = i
-                    observer.on_expanded(i, enabled_set)
-    except StopExploration:
-        if i >= 0 and i != finalized and expanded[i]:
-            expanded[i] = 0
-        return next_pending, truncated, True
-    return next_pending, truncated, False
-
-
-def _expand_round_serial(system, label_ids, states, pending):
-    """In-process expansion of one round, in the parallel path's encoding."""
-    # Same counters as ``_expand_shard``, so per-path totals agree no
-    # matter how each round was dispatched.
-    telemetry.count("shard.states_expanded", len(pending))
-    results = []
-    for i in pending:
-        enabled, posts = system.expand(states[i])
-        mask = 0
-        strays: Tuple[str, ...] = ()
-        for label in enabled:
-            k = label_ids.get(label)
-            if k is None:
-                strays += (label,)
-            else:
-                mask |= 1 << k
-        targets: List[object] = []
-        ref_of: Dict[object, int] = {}
-        encoded = []
-        for command, target in posts:
-            ref = ref_of.get(target)
-            if ref is None:
-                ref = len(targets)
-                ref_of[target] = ref
-                targets.append(target)
-            encoded.append((label_ids.get(command, command), ref))
-        results.append((mask, strays, tuple(encoded), targets))
-    telemetry.count("shard.posts", sum(len(r[2]) for r in results))
-    return results
-
-
-def _expand_round_parallel(digest, spec, labels, states, pending, workers):
-    """Shard one round by state hash and fan it out over the pool.
-
-    Returns per-pending-state ``(mask, strays, posts, targets)`` in pending
-    order — shard assignment affects only *where* a state is expanded,
-    never the merge order, so the result is independent of the hash
-    function and of ``workers``.
-    """
-    shards: List[List[int]] = [[] for _ in range(workers)]
-    for i in pending:
-        shards[hash(states[i]) % workers].append(i)
-    occupied = [shard for shard in shards if shard]
-    if telemetry.enabled():
-        for shard in occupied:
-            telemetry.observe("shard.shard_size", len(shard))
-    labels_snapshot = tuple(labels)
-    tasks = [
-        (digest, spec, labels_snapshot, [states[i] for i in shard])
-        for shard in occupied
-    ]
-    outs = parallel_map(_expand_shard, tasks, n_jobs=workers)
-
-    per_state: Dict[int, tuple] = {}
-    for shard, (results, targets) in zip(occupied, outs):
-        for i, (mask, strays, posts) in zip(shard, results):
-            per_state[i] = (mask, strays, posts, targets)
-    return [per_state[i] for i in pending]
-
-
-# ---------------------------------------------------------------------------
-# Value-plane rounds: the zero-copy data plane
-# ---------------------------------------------------------------------------
-#
-# Systems exposing a value plane (:meth:`TransitionSystem.value_plane`)
-# explore through flat int64 rows instead of state objects: the coordinator
-# interns *value tuples*, keeps the packed columns live, and — when a round
-# goes parallel — publishes them once through a shared-memory arena
-# (:mod:`repro.engine.shm`) so each worker task is just an index array.
-# Serial rounds call the batched kernels directly on the local rows, which
-# is where the batching win lands even without a pool.  The merge replays
-# the object path's bookkeeping statement for statement, so graphs are
-# bit-identical across all three paths (serial, pickled-sharded, shm).
-
-
-def _prepare_value_rounds(system, plane):
-    """Validate that ``system`` can explore through ``plane``.
-
-    Returns ``(plane_spec, initial_states, labels, label_ids, kmap)`` or
-    ``None`` to fall back to the object path.  ``kmap`` translates plane
-    command indices to coordinator label-table ids (the identity for
-    programs, where both sides are declaration order — but checked, never
-    assumed).
-    """
-    plane_spec = plane.spec()
-    if plane_spec is None:
-        return None
-    initial = list(system.initial_states())
-    names = plane.names
-    for state in initial:
-        if getattr(state, "names", None) != names:
+    @classmethod
+    def prepare(cls, system, plane, jobs: int) -> Optional["ValuePlaneStep"]:
+        """The step, or ``None`` when the plane cannot carry ``system``:
+        its command indices must be the system's label-table ids, and the
+        initial states must be canonical rows of the plane."""
+        if tuple(plane.labels) != tuple(system.commands()):
             return None
-    labels: List[str] = list(system.commands())
-    label_ids: Dict[str, int] = {label: k for k, label in enumerate(labels)}
-    try:
-        kmap = [label_ids[label] for label in plane.labels]
-    except KeyError:
-        return None
-    return plane_spec, initial, labels, label_ids, kmap
+        names = plane.names
+        for state in system.initial_states():
+            if getattr(state, "names", None) != names:
+                return None
+        return cls(system, plane, jobs)
 
+    @staticmethod
+    def key_of(state) -> tuple:
+        return state.values
 
-def _explore_rounds_values(
-    system,
-    plane,
-    prepared,
-    max_states,
-    max_depth,
-    strict,
-    jobs,
-    observer,
-):
-    """Round-based exploration over the value plane (shm when parallel)."""
-    from repro.ts.explore import StopExploration, _finish_graph, _stop_counters
+    @staticmethod
+    def bind(label_ids) -> List[int]:
+        """Command id → label id: the identity (checked in :meth:`prepare`)."""
+        return list(range(len(label_ids)))
 
-    plane_spec, initial, labels, label_ids, kmap = prepared
-    digest = hashlib.sha256(plane_spec).hexdigest()
-    width = plane.width
+    def dispatch(self, pending_count: int) -> Tuple[int, str]:
+        """``(workers, reason)`` for a round of ``pending_count`` rows."""
+        workers, reason = _round_dispatch(self.jobs, pending_count)
+        if workers > 1 and not self._fan_out_ready():
+            return 1, "shm_unavailable"
+        return workers, reason
 
-    interner = StateInterner()
-    states = interner.states
-    values_index: Dict[tuple, int] = {}
-    value_rows: List[tuple] = []
-    for state in initial:
-        row = plane.encode(state)
-        if row not in values_index:
-            index, _ = interner.intern(state)
-            values_index[row] = index
-            value_rows.append(row)
-    initial_count = len(states)
-    if initial_count == 0:
-        raise ValueError("system has no initial states")
-
-    src = array("q")
-    cmd = array("q")
-    dst = array("q")
-    emask_of: List[int] = [-1] * initial_count
-    expanded = bytearray(initial_count)
-    frontier: Set[int] = set()
-    truncated = False
-    stopped = False
-
-    pending: List[int] = list(range(initial_count))
-    round_depth = 0
-    traced = telemetry.enabled()
-    progress = telemetry.progress_reporter()
-    round_events = events.round_ticker()
-    mask_labels: Dict[int, frozenset] = {}
-    mask_memo: Dict[int, int] = {}
-    # Streaming verifiers under command fairness ask for per-round
-    # enabled-mask deltas (see ``_StreamingVerifier.wants_enabled_masks``):
-    # workers batch guards-only masks for their successor rows and the
-    # merge primes the observer, replacing its serial re-derivation.
-    want_masks = (
-        observer is not None
-        and getattr(observer, "wants_enabled_masks", False)
-        and getattr(plane, "enabled_batch", None) is not None
-    )
-
-    arena = None
-    shm_ok = True
-    values_col: Optional[array] = None  # flat mirror, built at first sync
-
-    if observer is not None:
-        try:
-            for idx in range(initial_count):
-                observer.on_state(idx, states[idx], 0)
-        except StopExploration:
-            stopped = True
-            pending = []
-
-    try:
-        while pending:
-            if max_depth is not None and round_depth > max_depth:
-                frontier.update(pending)
-                truncated = True
-                break
-
-            workers, dispatch = _round_dispatch(jobs, len(pending))
-            if workers > 1 and shm_ok and arena is None:
+    def _fan_out_ready(self) -> bool:
+        if self._spec is None:
+            spec = self.plane.spec()
+            if spec is None:
+                self._spec = False
+            else:
+                digest = hashlib.sha256(spec).hexdigest()
                 try:
-                    arena = shm.ShmArena(digest.encode("utf-8"))
+                    self._arena = shm.ShmArena(digest.encode("utf-8"))
+                    self._spec = (digest, spec)
                 except shm.ShmUnavailable:
                     # No shared memory here (platform/sandbox): every
                     # round runs the batched kernels in-process instead.
-                    shm_ok = False
-                    if traced:
+                    self._spec = False
+                    if telemetry.enabled():
                         telemetry.count("shm.unavailable")
-            if workers > 1 and arena is None:
-                workers, dispatch = 1, "shm_unavailable"
-            if traced:
-                telemetry.count("shard.rounds")
-                telemetry.count("shard.values_rounds")
-                telemetry.count(
-                    "shard.parallel_rounds" if workers > 1 else "shard.serial_rounds"
-                )
-                if workers <= 1:
-                    telemetry.count(f"shard.serial_round.{dispatch}")
-                telemetry.observe("shard.round_pending", len(pending))
-            if progress is not None:
-                progress.maybe(len(states), len(pending), round_depth)
-            round_events.tick(
-                round_depth, len(pending), len(states), workers, dispatch
+        return bool(self._spec)
+
+    def expand(self, states, pending, workers: int, want_masks: bool, index):
+        """``(results, row_masks)`` for one round, in pending order.
+
+        ``results[p]`` is ``(enabled mask, [(command id, successor row)])``
+        for ``states[pending[p]]``.  ``row_masks`` maps the round's fresh
+        successor rows to guards-only enabled masks when ``want_masks``
+        (a streaming verifier primes itself from them), else ``None``.
+        """
+        rows = [states[i].values for i in pending]
+        if workers > 1:
+            values = self._values
+            width = self.plane.width
+            for state in states[len(values) // width:]:
+                values.extend(state.values)
+            digest, spec = self._spec
+            results, row_masks = _expand_round_values_parallel(
+                digest, spec, self._arena, width, values, pending, rows,
+                workers, want_masks,
             )
-            round_span = telemetry.span(
-                "shard_round",
-                round=round_depth,
-                pending=len(pending),
-                workers=workers,
-            )
-            with round_span:
-                if workers > 1:
-                    if values_col is None:
-                        values_col = array(
-                            "q", [v for row in value_rows for v in row]
-                        )
-                    round_results, row_masks = _expand_round_values_parallel(
-                        digest,
-                        plane_spec,
-                        arena,
-                        width,
-                        values_col,
-                        value_rows,
-                        (src, cmd, dst, emask_of, pending[0]),
-                        pending,
-                        workers,
-                        want_masks,
-                    )
-                else:
-                    round_results = _expand_round_values_serial(
-                        plane, value_rows, pending
-                    )
-                    row_masks = (
-                        _round_row_masks(plane, round_results, values_index)
-                        if want_masks
-                        else None
-                    )
-                merge_started = time.perf_counter() if traced else 0.0
-
-                next_pending, truncated, stopped = _merge_round_values(
-                    pending,
-                    round_results,
-                    interner,
-                    values_index,
-                    value_rows,
-                    values_col,
-                    plane,
-                    labels,
-                    kmap,
-                    mask_memo,
-                    src,
-                    cmd,
-                    dst,
-                    emask_of,
-                    expanded,
-                    frontier,
-                    truncated,
-                    max_states,
-                    observer,
-                    round_depth + 1,
-                    mask_labels,
-                    row_masks,
-                )
-                if traced:
-                    telemetry.observe(
-                        "shard.merge_s", time.perf_counter() - merge_started
-                    )
-            if stopped:
-                break
-            pending = next_pending
-            round_depth += 1
-    finally:
-        # The leak contract: the arena dies with the exploration — normal
-        # return, StopExploration, limit errors and observer exceptions
-        # all pass through here (worker death never owns a segment).
-        if arena is not None:
-            arena.close()
-
-    if stopped:
-        _stop_counters(len(states))
-    if progress is not None:
-        progress.close()
-    return _finish_graph(
-        system=system,
-        interner=interner,
-        labels=labels,
-        label_ids=label_ids,
-        src=src,
-        cmd=cmd,
-        dst=dst,
-        emask_of=emask_of,
-        expanded=expanded,
-        frontier=frontier,
-        initial_count=initial_count,
-        truncated=truncated,
-        strict=strict,
-        max_states=max_states,
-        max_depth=max_depth,
-    )
-
-
-def _merge_round_values(
-    pending,
-    round_results,
-    interner,
-    values_index,
-    value_rows,
-    values_col,
-    plane,
-    labels,
-    kmap,
-    mask_memo,
-    src,
-    cmd,
-    dst,
-    emask_of,
-    expanded,
-    frontier,
-    truncated,
-    max_states,
-    observer=None,
-    successor_depth=0,
-    mask_labels=None,
-    row_masks=None,
-):
-    """:func:`_merge_round` for value-plane rounds.
-
-    Same statement order, same budget bookkeeping, same observer events,
-    same :class:`StopExploration` revert rule — only the successor lookup
-    changes (value tuple instead of state object; a state object is built
-    exactly once, when a row is genuinely new).
-
-    ``row_masks`` (optional) maps successor value rows to guards-only
-    plane masks from this round's batch; when present and the observer
-    accepts primes, every state touched this round gets its enabled set
-    handed over before any flush could demand it serially.  Guards are
-    pure, so priming never changes a verdict — only which code derives
-    the mask.
-    """
-    from repro.ts.explore import StopExploration
-
-    states = interner.states
-    next_pending: List[int] = []
-    # The loop below runs once per transition of the whole graph; bind
-    # every repeated attribute lookup to a local first (the difference is
-    # measurable at 10⁶ states).
-    lookup = values_index.get
-    src_append = src.append
-    cmd_append = cmd.append
-    dst_append = dst.append
-    emask_append = emask_of.append
-    expanded_append = expanded.append
-    pending_append = next_pending.append
-    rows_append = value_rows.append
-    make_state = plane.make_state
-    intern = interner.intern
-    mask_of = mask_memo.get
-    tracked = observer is not None
-    unbudgeted = max_states is None
-
-    prime = (
-        getattr(observer, "prime_enabled", None)
-        if tracked and row_masks is not None
-        else None
-    )
-    if prime is not None:
-
-        def enabled_set_of(plane_mask):
-            mask = mask_of(plane_mask)
-            if mask is None:
-                mask = 0
-                for b in range(plane_mask.bit_length()):
-                    if (plane_mask >> b) & 1:
-                        mask |= 1 << kmap[b]
-                mask_memo[plane_mask] = mask
-            enabled_set = mask_labels.get(mask)
-            if enabled_set is None:
-                mask_labels[mask] = enabled_set = frozenset(
-                    labels[b]
-                    for b in range(mask.bit_length())
-                    if (mask >> b) & 1
-                )
-            return enabled_set
-
-        # This round's sources: their masks arrived with the expansion
-        # results, so transitions between same-round states never fall
-        # back to serial derivation whichever source flushes first.
-        for p, (p_mask, _) in zip(pending, round_results):
-            prime(p, enabled_set_of(p_mask))
-
-    i = -1
-    finalized = -1
-    try:
-        for i, (plane_mask, posts) in zip(pending, round_results):
-            expanded[i] = 1
-            mask = mask_of(plane_mask)
-            if mask is None:
-                mask = 0
-                for b in range(plane_mask.bit_length()):
-                    if (plane_mask >> b) & 1:
-                        mask |= 1 << kmap[b]
-                mask_memo[plane_mask] = mask
-            emask_of[i] = mask
-            at_budget = not unbudgeted and len(states) >= max_states
-            for plane_cmd, row in posts:
-                j = lookup(row)
-                if at_budget:
-                    if j is None:
-                        frontier.add(i)
-                        truncated = True
-                        break
-                else:
-                    if j is None:
-                        target = make_state(row)
-                        j, _ = intern(target)
-                        values_index[row] = j
-                        rows_append(row)
-                        if values_col is not None:
-                            values_col.extend(row)
-                        emask_append(-1)
-                        expanded_append(0)
-                        pending_append(j)
-                        if not unbudgeted:
-                            at_budget = len(states) >= max_states
-                        if tracked:
-                            observer.on_state(j, target, successor_depth)
-                            if prime is not None:
-                                p_mask = row_masks.get(row)
-                                if p_mask is not None:
-                                    prime(j, enabled_set_of(p_mask))
-                k = kmap[plane_cmd]
-                src_append(i)
-                cmd_append(k)
-                dst_append(j)
-                if tracked:
-                    observer.on_transition(i, labels[k], j)
+        else:
+            if len(rows) == 1:
+                results = [self._expand_one(rows[0])]
             else:
-                if tracked:
-                    enabled_set = mask_labels.get(mask)
-                    if enabled_set is None:
-                        mask_labels[mask] = enabled_set = frozenset(
-                            labels[b]
-                            for b in range(mask.bit_length())
-                            if (mask >> b) & 1
-                        )
-                    finalized = i
-                    observer.on_expanded(i, enabled_set)
-    except StopExploration:
-        if i >= 0 and i != finalized and expanded[i]:
-            expanded[i] = 0
-        return next_pending, truncated, True
-    return next_pending, truncated, False
+                if telemetry.enabled():
+                    telemetry.count("batch.calls")
+                    telemetry.count("batch.rows", len(rows))
+                results = self.plane.expand_batch(rows)
+            row_masks = (
+                _round_row_masks(self.plane, results, index)
+                if want_masks
+                else None
+            )
+        return results, row_masks
+
+    def close(self) -> None:
+        if self._arena is not None:
+            self._arena.close()
+            self._arena = None
 
 
 def _round_row_masks(plane, round_results, values_index):
@@ -898,38 +224,15 @@ def _round_row_masks(plane, round_results, values_index):
     return dict(zip(fresh, masks))
 
 
-def _expand_round_values_serial(plane, value_rows, pending):
-    """One round through the batched kernels, in-process, no copies."""
-    rows = [value_rows[i] for i in pending]
-    if telemetry.enabled():
-        telemetry.count("shard.states_expanded", len(rows))
-        telemetry.count("batch.calls")
-        telemetry.count("batch.rows", len(rows))
-        results = plane.expand_batch(rows)
-        telemetry.count("shard.posts", sum(len(posts) for _, posts in results))
-        return results
-    return plane.expand_batch(rows)
-
-
 def _expand_round_values_parallel(
-    digest,
-    plane_spec,
-    arena,
-    width,
-    values_col,
-    value_rows,
-    graph_columns,
-    pending,
-    workers,
-    want_masks=False,
+    digest, plane_spec, arena, width, values_col, pending, rows, workers,
+    want_masks,
 ):
     """Fan one round out over the pool through the shared-memory arena.
 
-    Publishes the value table (workers read their rows by index) and
-    streams the graph columns built so far — ``src``/``cmd``/``dst`` plus
-    the enabled masks of the expanded prefix — into the same arena, so
-    the entire hot data plane is attachable.  Each task carries only the
-    shard's index array; results come back as flat int arrays.
+    Publishes the value table (workers read their rows in place, by state
+    index); each task carries only its shard's index array, and results
+    come back as flat int arrays, reassembled here in pending order.
 
     With ``want_masks`` each worker also batches guards-only enabled
     masks for its deduplicated successor rows (the round's mask *delta*),
@@ -938,24 +241,13 @@ def _expand_round_values_parallel(
     where ``row_masks`` is ``None`` when masks were not requested.
     """
     shards: List[List[int]] = [[] for _ in range(workers)]
-    for i in pending:
-        # Same assignment as the object path: ProgramState hashes on its
-        # value tuple, so ``hash(row)`` equals ``hash(states[i])``.
-        shards[hash(value_rows[i]) % workers].append(i)
+    for i, row in zip(pending, rows):
+        shards[hash(row) % workers].append(i)
     occupied = [shard for shard in shards if shard]
     if telemetry.enabled():
         for shard in occupied:
             telemetry.observe("shard.shard_size", len(shard))
-
     arena.sync("values", values_col)
-    src, cmd, dst, emask_of, expanded_prefix = graph_columns
-    arena.sync("src", src)
-    arena.sync("cmd", cmd)
-    arena.sync("dst", dst)
-    # Masks are final exactly for the expanded prefix (states below this
-    # round's first pending index); later entries are still -1 sentinels.
-    arena.column("emask").sync(emask_of, length=expanded_prefix)
-
     name, _ = arena.column("values").manifest()
     tasks = [
         (
@@ -1007,7 +299,7 @@ def _expand_shard_values(task):
     its rows in place, runs the batched kernels, and returns flat arrays:
     ``(masks, post_counts, cmd_ids, target_refs, target_values,
     target_masks)`` with targets deduplicated per shard — cheap to
-    pickle, decoded by the coordinator in serial merge order.
+    pickle, decoded by the coordinator in merge order.
     ``target_masks`` carries one guards-only enabled mask per
     deduplicated target when the round wants mask deltas (and the plane
     can batch them); otherwise it is empty.
@@ -1023,7 +315,6 @@ def _expand_shard_values(task):
         tuple(view[base + i * width: base + (i + 1) * width])
         for i in indices
     ]
-    telemetry.count("shard.states_expanded", len(rows))
     telemetry.count("batch.calls")
     telemetry.count("batch.rows", len(rows))
     expansions = plane.expand_batch(rows)
@@ -1034,11 +325,9 @@ def _expand_shard_values(task):
     refs = array("q")
     flat = array("q")
     ref_of: Dict[tuple, int] = {}
-    posts_total = 0
     for offset, (mask, posts) in enumerate(expansions):
         masks[offset] = mask
         counts[offset] = len(posts)
-        posts_total += len(posts)
         for k, row in posts:
             ref = ref_of.get(row)
             if ref is None:
@@ -1047,7 +336,6 @@ def _expand_shard_values(task):
                 flat.extend(row)
             cmds.append(k)
             refs.append(ref)
-    telemetry.count("shard.posts", posts_total)
 
     tmasks = array("Q")
     if want_masks and ref_of:
@@ -1066,7 +354,7 @@ def graph_digest(graph) -> str:
     Covers states (in index order), transitions (in transition order, with
     command *labels*, not table ids), per-state enabled sets (sorted), the
     initial count and the frontier — i.e. exactly the bit-identity contract
-    of the sharded explorer.  Two graphs digest equal iff the object-level
+    of exploration.  Two graphs digest equal iff the object-level
     fingerprints used by the differential tests are equal.
     """
     h = hashlib.sha256()

@@ -287,18 +287,19 @@ def _emit_verdict(
 
 def check_fair_termination(graph: ReachableGraph) -> FairTerminationResult:
     """Decide fair termination over (the explored region of) ``graph``."""
-    witness = find_fair_cycle(graph)
-    if witness is not None:
-        result = _validated_counterexample(graph, witness)
-        _emit_verdict(result, streaming=False)
-        return result
-    result = FairTerminationResult(
-        fairly_terminates=True,
-        decisive=graph.complete,
-        witness=None,
-        states_explored=len(graph),
-        transitions_explored=len(graph.transitions),
-    )
+    with telemetry.span("decide", streaming=False, states=len(graph)) as sp:
+        witness = find_fair_cycle(graph)
+        if witness is not None:
+            result = _validated_counterexample(graph, witness)
+        else:
+            result = FairTerminationResult(
+                fairly_terminates=True,
+                decisive=graph.complete,
+                witness=None,
+                states_explored=len(graph),
+                transitions_explored=len(graph.transitions),
+            )
+        sp.set("fairly_terminates", result.fairly_terminates)
     _emit_verdict(result, streaming=False)
     return result
 

@@ -50,11 +50,11 @@ class ProgramValuePlane:
     :meth:`~repro.ts.system.TransitionSystem.value_plane`: canonical
     :class:`ProgramState` objects are just ``(names, values)`` with the
     names fixed by the program, so a state round-trips through its bare
-    value tuple.  The sharded explorer stores those tuples in flat
-    ``array('q')`` columns (published over shared memory to pool workers)
-    and calls :meth:`expand_batch` on whole BFS rounds — one batched guard
-    kernel per guard per round instead of one closure call per guard per
-    state.
+    value tuple (``state.values`` one way, :meth:`make_state` the other).  Exploration interns those tuples and calls
+    :meth:`expand_batch` on whole BFS rounds — one batched guard kernel
+    per guard per round instead of one closure call per guard per state —
+    publishing them over shared memory when a wide round fans out to pool
+    workers.
 
     Command indices in the batch results are positions in :attr:`labels`,
     which is the program's declaration order — the same order
@@ -76,18 +76,18 @@ class ProgramValuePlane:
         # Travels as the AST (CompiledProgram recompiles on arrival).
         return (ProgramValuePlane, (self._compiled,))
 
-    def encode(self, state: ProgramState) -> Values:
-        """The flat row of a canonical state."""
-        return state.values
-
     def make_state(self, values: Values) -> ProgramState:
         """The canonical state of a flat row."""
         return ProgramState(self.names, values)
 
+    def expand_values(self, values: Values) -> Tuple[int, List[Tuple[int, Values]]]:
+        """One row's ``(enabled bitmask over labels, [(cmd index, post)])``."""
+        return self._compiled.expand_values(values)
+
     def expand_batch(
         self, rows: Sequence[Values]
     ) -> List[Tuple[int, List[Tuple[int, Values]]]]:
-        """Per row: ``(enabled bitmask over labels, [(cmd index, post)])``."""
+        """:meth:`expand_values` of every row, batched per guard."""
         return self._compiled.expand_batch(rows)
 
     def enabled_batch(self, rows: Sequence[Values]) -> Optional[List[int]]:
@@ -146,7 +146,7 @@ class Program(TransitionSystem):
         self._cache_hits = 0
         self._cache_misses = 0
 
-    # -- pickling / sharding ----------------------------------------------
+    # -- pickling / value plane -------------------------------------------
 
     def __getstate__(self):
         # Compiled closures and the successor cache do not travel; the
@@ -157,24 +157,14 @@ class Program(TransitionSystem):
     def __setstate__(self, state) -> None:
         self.__init__(state["ast"], compiled=state["compiled"])
 
-    def shard_spec(self) -> bytes | None:
-        """Programs ship as their pickled AST (closures are recompiled
-        worker-side); see :meth:`TransitionSystem.shard_spec`."""
-        import pickle
-
-        try:
-            return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return None
-
     def value_plane(self) -> Optional[ProgramValuePlane]:
         """The packed value plane of a compiled program.
 
         ``None`` for interpreted programs (no closures to batch), for
         programs without variables (no rows to pack) and for programs
         with more than 64 commands (enabled masks must fit one machine
-        word on the shared-memory plane) — those take the object-level
-        exploration paths unchanged.
+        word on the shared-memory plane) — those are explored one state
+        at a time through :meth:`expand`.
         """
         if (
             self._compiled is None

@@ -31,11 +31,9 @@ Two delivery paths, both fed by every :func:`emit`:
   tests, future SSE framers).  A subscriber that raises is dropped from
   that event's delivery but never breaks the emitting engine code.
 
-Producers that would be too chatty for unconditional emission use the
-throttled tickers: :func:`exploration_ticker` (per-expansion, active only
-when someone is listening — :func:`live`) and :func:`round_ticker`
-(per-BFS-round, always on, at most one event per
-:data:`ROUND_INTERVAL_S`).  Sequence numbers are process-wide and
+Exploration, which would be too chatty for unconditional emission, uses
+the throttled :func:`round_ticker` (per-BFS-round, always on, at most one
+event per :data:`ROUND_INTERVAL_S`).  Sequence numbers are process-wide and
 strictly increasing, so any contiguous slice of the ring is provably
 gap-free — the property the postmortem validator checks.
 
@@ -62,12 +60,9 @@ DEFAULT_RING_CAPACITY = 1024
 #: Environment override for the flight-recorder capacity.
 RING_ENV = "REPRO_FLIGHT_RECORDER_EVENTS"
 
-#: Throttle for per-round/per-progress tickers: at most one event per
-#: this many seconds per ticker.
+#: Throttle for the per-round ticker: at most one event per this many
+#: seconds per ticker.
 ROUND_INTERVAL_S = 0.25
-
-#: Per-expansion tickers consult the clock only every this many calls.
-PROGRESS_STRIDE = 1024
 
 
 # -- catalogue ------------------------------------------------------------
@@ -105,12 +100,12 @@ PHASE_END = EventKind(
 )
 EXPLORE_PROGRESS = EventKind(
     "explore.progress",
-    "Throttled serial-exploration heartbeat: states discovered, queue "
-    "size, BFS depth.  Emitted only while a consumer is attached.",
+    "Per-round exploration progress from an ExplorationEventObserver: "
+    "states discovered, queue size, BFS depth.",
 )
 EXPLORE_ROUND = EventKind(
     "explore.round",
-    "One sharded/shm BFS round dispatched: round depth, pending sources, "
+    "One BFS round dispatched (throttled): round depth, pending sources, "
     "states so far, worker count and the dispatch decision.",
 )
 EXPLORE_SUMMARY = EventKind(
@@ -120,7 +115,7 @@ EXPLORE_SUMMARY = EventKind(
 )
 GRAPHSTORE_OUTCOME = EventKind(
     "graphstore.outcome",
-    "explore_with_cache resolved: outcome kind (bypass/hit/migrated/"
+    "explore_with_cache resolved: outcome kind (bypass/hit/"
     "incremental/cold) and the chunk reuse/write accounting.",
 )
 POOL_SPINUP = EventKind(
@@ -318,35 +313,6 @@ def emit(kind, /, **data: Any) -> Dict[str, Any]:
 # -- throttled producers --------------------------------------------------
 
 
-class ExploreTicker:
-    """Per-expansion ``explore.progress`` heartbeat, interval throttled.
-
-    The *stride* lives at the call site (the explore loop only calls
-    :meth:`tick` every :data:`PROGRESS_STRIDE` expansions): building the
-    tick arguments costs three ``len`` calls, which is real money at a
-    million expansions, so the hot loop must be able to skip the call
-    entirely with one integer test.  ``tick`` then applies the wall-time
-    throttle — at most one event per :data:`ROUND_INTERVAL_S`."""
-
-    __slots__ = ("_last",)
-
-    def __init__(self) -> None:
-        self._last: Optional[float] = None
-
-    def tick(self, states: int, queued: int, depth: int) -> None:
-        now = time.monotonic()
-        if self._last is not None and now - self._last < ROUND_INTERVAL_S:
-            return
-        self._last = now
-        emit(EXPLORE_PROGRESS, states=states, queued=queued, depth=depth)
-
-
-def exploration_ticker() -> Optional[ExploreTicker]:
-    """A serial-exploration heartbeat, or ``None`` when nobody is
-    listening (the common case — hot loops guard with ``is not None``)."""
-    return ExploreTicker() if live() else None
-
-
 class RoundTicker:
     """Per-BFS-round ``explore.round`` emitter, interval throttled.
 
@@ -384,7 +350,7 @@ class RoundTicker:
 
 
 def round_ticker() -> RoundTicker:
-    """A fresh per-round emitter for one sharded/shm exploration."""
+    """A fresh per-round emitter for one exploration."""
     return RoundTicker()
 
 
@@ -397,8 +363,8 @@ class ExplorationEventObserver:
     adaptor emits one summary event per round (plus a final one from
     :meth:`finish`).  Useful for library callers who want event-stream
     progress from a plain :func:`~repro.ts.explore.explore` call without
-    enabling the CLI machinery; the engine's own explorers use the
-    cheaper tickers above.
+    enabling the CLI machinery; the explorer itself uses the cheaper
+    round ticker above.
     """
 
     __slots__ = ("states", "transitions", "expanded", "depth", "_queued")

@@ -9,8 +9,8 @@ theorem about the program.  For infinite-state programs (the paper's
 records its frontier, so downstream analyses can — and do — say precisely
 what was and was not covered, instead of silently truncating.
 
-States are interned (hashed once at discovery, :mod:`repro.engine.interning`)
-and every downstream analysis works on integer indices.  Transitions are
+States are interned (hashed once at discovery) and every downstream
+analysis works on integer indices.  Transitions are
 streamed straight into flat ``array('q')`` columns during exploration — the
 graph never holds per-transition Python objects, so a million-state graph
 fits comfortably in RAM; :class:`IndexedTransition` values are materialized
@@ -18,21 +18,22 @@ lazily as views when object-level callers ask for them.  Per-state enabled
 sets are stored as command bitmasks over an interned label table, shared
 with the cached engine analyses (:attr:`ReachableGraph.analyses`).
 
-``explore(..., n_jobs=N)`` with ``N > 1`` dispatches to the hash-sharded
-frontier-parallel explorer (:mod:`repro.engine.shard`) when the system can
-be shipped to workers (:meth:`TransitionSystem.shard_spec`); results are
-bit-identical to the serial path by construction and by differential test.
+Every exploration runs one level-synchronous BFS (:func:`_explore_rounds`):
+each round hands its pending states to an *expand step* chosen once from
+the system — batched value-plane kernels for compiled programs
+(:mod:`repro.engine.shard`, which also fans wide rounds out over the
+worker pool when ``n_jobs > 1``), per-state ``expand`` for everything
+else — and one merge interns the results in FIFO order.  The graph is
+bit-identical whichever step ran and whatever the job count.
 """
 
 from __future__ import annotations
 
-import os
+import time
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from repro.engine.interning import StateInterner
 from repro.engine.packed import CommandTable, PackedGraph
 from repro.telemetry import core as telemetry
 from repro.telemetry import events
@@ -46,23 +47,23 @@ class ExplorationLimitError(RuntimeError):
 class StopExploration(Exception):
     """Raised by an :class:`ExplorationObserver` callback to stop exploring.
 
-    The explorer catches it, abandons the state whose expansion was in
+    The explorer catches it, abandons the state whose merge was in
     flight (it becomes frontier, so its partially-observed transitions are
     dropped exactly like a budget-truncated source) and returns the graph
-    built so far.  In the sharded explorer the signal also cancels the
-    round loop, so no further round is dispatched to the worker pool.
+    built so far.  The signal also ends the round loop, so no further
+    round is expanded or dispatched to the worker pool.
     Stopping never sets the ``strict`` truncation flag — it is a consumer
     verdict, not a bound.
     """
 
 
 class ExplorationObserver:
-    """Streaming hooks into exploration (serial and sharded).
+    """Streaming hooks into exploration.
 
     Subclass and override any of the callbacks; the default implementations
-    do nothing.  The event stream is **bit-identical between the serial and
-    sharded explorers** — the sharded coordinator replays the serial
-    merge order — and follows the contract:
+    do nothing.  The event stream is **bit-identical for every job count**
+    — the callbacks fire from the merge, in FIFO order — and follows the
+    contract:
 
     * ``on_state`` fires once per state, at intern time, in index order
       (initial states first, at depth 0);
@@ -582,21 +583,22 @@ def explore(
         If true, raise :class:`ExplorationLimitError` when a bound truncates
         exploration instead of returning an incomplete graph.
     n_jobs:
-        With ``n_jobs > 1`` (or ``-1`` for all cores) and a system that can
-        be shipped to workers (:meth:`TransitionSystem.shard_spec`),
-        exploration is hash-sharded across the persistent worker pool; the
-        result is bit-identical to the serial path.  Systems without a
-        shard spec fall back to serial exploration.
+        Worker processes for wide BFS rounds (``-1`` for all cores).  Only
+        value-plane programs fan out, and only rounds with at least
+        :data:`~repro.engine.shard.SHARD_ROUND_CUTOFF` pending states on a
+        machine with more than one core; every other round expands
+        in-process.  The graph is bit-identical for every job count.
     observer:
         An :class:`ExplorationObserver` receiving streaming callbacks on
         state discovery, transition emission and state completion, with
         :class:`StopExploration` as the early-exit control signal.  The
-        event stream is identical under serial and sharded exploration.
+        event stream is identical for every job count.
     """
     system.validate_commands()
     if not telemetry.enabled():
-        graph = _explore_dispatch(
-            system, max_states, max_depth, strict, n_jobs, observer
+        graph = _explore_rounds(
+            system, _expand_step(system, n_jobs), max_states, max_depth,
+            strict, observer,
         )
         _emit_explore_summary(system, graph)
         return graph
@@ -606,12 +608,15 @@ def explore(
     # delta this exploration contributed.
     cache_stats = getattr(system, "successor_cache_stats", None)
     before = cache_stats() if cache_stats is not None else None
+    step = _expand_step(system, n_jobs)
     with telemetry.span(
-        "explore", system=getattr(system, "name", type(system).__name__)
+        "explore",
+        system=getattr(system, "name", type(system).__name__),
+        step=step.name,
     ) as sp:
         try:
-            graph = _explore_dispatch(
-                system, max_states, max_depth, strict, n_jobs, observer
+            graph = _explore_rounds(
+                system, step, max_states, max_depth, strict, observer
             )
         except ExplorationLimitError:
             telemetry.count("explore.strict_aborts")
@@ -645,49 +650,82 @@ def _emit_explore_summary(system: TransitionSystem, graph: ReachableGraph) -> No
     )
 
 
-def _explore_dispatch(
-    system: TransitionSystem,
-    max_states: int | None,
-    max_depth: int | None,
-    strict: bool,
-    n_jobs: int | None,
-    observer: ExplorationObserver | None = None,
-) -> ReachableGraph:
-    """Serial-vs-sharded dispatch (the pre-telemetry body of ``explore``)."""
-    if n_jobs is not None:
-        from repro.engine.parallel import _FORCE_ENV, resolve_jobs
+class _LabelIds(dict):
+    """``label → id`` over a growing label list: an unseen label (one
+    outside ``system.commands()``) is appended on first lookup."""
 
-        jobs = resolve_jobs(n_jobs)
-        # On a single core every round would be demoted to in-process
-        # execution anyway, but the sharded coordinator's encode/merge
-        # framing is not free — skip it entirely so ``--jobs N`` never
-        # loses to serial (the force env keeps tests on the sharded path).
-        # Value-plane systems are the exception: their round loop expands
-        # through the batched kernels, which beat the serial per-state
-        # path with or without a pool, so they always take the
-        # coordinator when parallelism was requested.
-        multicore = (os.cpu_count() or 1) > 1
-        forced = os.environ.get(_FORCE_ENV) == "1"
-        use_coordinator = multicore or forced
-        if jobs > 1 and not use_coordinator:
-            from repro.engine.shard import value_plane_of
+    __slots__ = ("labels",)
 
-            use_coordinator = value_plane_of(system) is not None
-        if jobs > 1 and use_coordinator:
-            spec = system.shard_spec()
-            if spec is not None:
-                from repro.engine.shard import explore_sharded
+    def __init__(self, labels: List[str]) -> None:
+        super().__init__(zip(labels, range(len(labels))))
+        self.labels = labels
 
-                return explore_sharded(
-                    system,
-                    spec,
-                    max_states=max_states,
-                    max_depth=max_depth,
-                    strict=strict,
-                    n_jobs=jobs,
-                    observer=observer,
-                )
-    return _explore_serial(system, max_states, max_depth, strict, observer)
+    def __missing__(self, label: str) -> int:
+        k = len(self.labels)
+        self.labels.append(label)
+        self[label] = k
+        return k
+
+
+class StateStep:
+    """The expand step of every system without a value plane.
+
+    Calls ``expand`` (by default ``system.expand``) once per pending
+    state, in-process; the keys the merge interns are the states
+    themselves.  The graph store's incremental replay plugs its
+    replaying ``expand``/``enabled`` in here.
+    """
+
+    name = "states"
+    keys_are_states = True
+    jobs = 1
+
+    __slots__ = ("_expand", "enabled", "_label_ids")
+
+    def __init__(self, expand, enabled) -> None:
+        self._expand = expand
+        self.enabled = enabled
+        self._label_ids: Dict[str, int] = {}
+
+    @staticmethod
+    def key_of(state: State) -> State:
+        return state
+
+    make_state = key_of
+
+    def bind(self, label_ids: Dict[str, int]) -> Dict[str, int]:
+        """Command → label id: posts carry labels, looked up directly."""
+        self._label_ids = label_ids
+        return label_ids
+
+    def expand(self, states, pending, workers, want_masks, index):
+        expand = self._expand
+        label_ids = self._label_ids
+        results = []
+        for i in pending:
+            enabled, posts = expand(states[i])
+            mask = 0
+            for label in enabled:
+                mask |= 1 << label_ids[label]
+            results.append((mask, posts))
+        return results, None
+
+    def close(self) -> None:
+        pass
+
+
+def _expand_step(system: TransitionSystem, n_jobs: int | None):
+    """The expand step for ``system``, chosen once per exploration: the
+    batched value plane when the system has one, else :class:`StateStep`."""
+    plane = system.value_plane()
+    if plane is not None:
+        from repro.engine.parallel import resolve_jobs
+        from repro.engine.shard import ValuePlaneStep
+
+        step = ValuePlaneStep.prepare(system, plane, resolve_jobs(n_jobs))
+        if step is not None:
+            return step
+    return StateStep(system.expand, system.enabled)
 
 
 def _stop_counters(states_discovered: int) -> None:
@@ -696,155 +734,237 @@ def _stop_counters(states_discovered: int) -> None:
     telemetry.count("stream.states_at_stop", states_discovered)
 
 
-def _explore_serial(
+def _explore_rounds(
     system: TransitionSystem,
+    step,
     max_states: int | None,
     max_depth: int | None,
     strict: bool,
     observer: ExplorationObserver | None = None,
-    expand=None,
-    enabled_fn=None,
 ) -> ReachableGraph:
-    """The serial BFS.
+    """The BFS: each round expands every pending state, then merges.
 
-    ``expand``/``enabled_fn`` override ``system.expand``/``system.enabled``
-    per call — the graph store's incremental re-exploration substitutes a
-    replaying expander here while keeping every other statement of the
-    loop (interning, budgets, observer stream, frontier semantics)
-    untouched, which is what makes its output bit-identical to a stock
-    exploration.
+    **Why rounds give the FIFO graph.**  A FIFO BFS pops states in
+    first-discovery order, so it expands them in ascending index order,
+    level by level: the states discovered while expanding round ``r``
+    occupy a contiguous index range, and all of them are expanded — with
+    identical budget/depth bookkeeping — before any state of round
+    ``r + 1``.  Expansion itself is a pure function of the state.  So
+    exploration factors into
+
+    1. computing ``(enabled, posts)`` for every state of the round — the
+       *expand step*, free to batch or fan out however it likes — and
+    2. the merge below, which interns successors, assigns indices,
+       records transitions and applies ``max_states``/``max_depth``/
+       ``strict`` accounting **in pending order, posts order** — exactly
+       the order a FIFO loop would see them.
+
+    State indices, transition order, enabled masks, frontier sets,
+    observer events and :class:`ExplorationLimitError` messages are
+    therefore the same for every step and every job count;
+    ``tests/engine/test_explore_paths.py`` checks them against the FIFO
+    loop kept in :func:`repro.engine.reference.explore_reference`.
+
+    ``step`` keys states for the merge (``key_of``/``make_state``: the
+    state itself, or its value row) and reports posts as ``(command id,
+    key)`` pairs, command ids mapped to label ids by ``step.bind``.
     """
-    expand_fn = system.expand if expand is None else expand
-    interner = StateInterner()
-    states = interner.states
-    depth = array("q")
-
+    key_of = step.key_of
+    states: List[State] = []
+    index: Dict[object, int] = {}  # key → state index
     for s in system.initial_states():
-        _, is_new = interner.intern(s)
-        if is_new:
-            depth.append(0)
+        key = key_of(s)
+        if key not in index:
+            index[key] = len(states)
+            states.append(s)
     initial_count = len(states)
     if initial_count == 0:
         raise ValueError("system has no initial states")
 
     labels: List[str] = list(system.commands())
-    label_ids: Dict[str, int] = {label: k for k, label in enumerate(labels)}
+    label_ids = _LabelIds(labels)
+    kmap = step.bind(label_ids)
     src = array("q")
     cmd = array("q")
     dst = array("q")
     # Parallel to ``states``: enabled mask (-1 = not yet computed) and an
     # expanded flag.  Flat arrays, not dicts/sets — a million-state run
     # must not allocate a million boxed ints of bookkeeping.
-    emask_of = [-1] * initial_count
+    emask_of: List[int] = [-1] * initial_count
     expanded = bytearray(initial_count)
     frontier: Set[int] = set()
-    queue = deque(range(initial_count))
     truncated = False
-    # ``None`` unless live progress was opted into; the disabled-mode cost
-    # of the display is the single ``is not None`` test per expansion.
-    # Same deal for the event heartbeat: ``None`` unless an event consumer
-    # (an NDJSON sink, the exposition server) is attached.  The stride
-    # lives here, not inside the ticker: computing the tick arguments
-    # (three ``len`` calls) per expansion costs several percent on a
-    # million-state family, so only every stride-th expansion builds them.
-    progress = telemetry.progress_reporter()
-    ticker = events.exploration_ticker()
-    tick_stride = events.PROGRESS_STRIDE
-    ticks = 0
 
+    traced = telemetry.enabled()
+    # ``None`` unless live progress was opted into.
+    progress = telemetry.progress_reporter()
+    round_events = events.round_ticker()
+    # Mask → frozenset memo for ``on_expanded`` and priming.
+    mask_labels: Dict[int, frozenset] = {}
+
+    def labels_of(mask: int) -> frozenset:
+        enabled_set = mask_labels.get(mask)
+        if enabled_set is None:
+            mask_labels[mask] = enabled_set = frozenset(
+                labels[b] for b in range(mask.bit_length()) if (mask >> b) & 1
+            )
+        return enabled_set
+
+    # The merge runs once per transition of the whole graph; bind every
+    # repeated attribute lookup to a local once per exploration.
+    lookup = index.get
+    make_state = step.make_state
+    states_append = states.append
+    src_append = src.append
+    cmd_append = cmd.append
+    dst_append = dst.append
+    emask_append = emask_of.append
+    expanded_append = expanded.append
+    tracked = observer is not None
+    unbudgeted = max_states is None
+    # Streaming verifiers under command fairness ask for per-round
+    # enabled-mask deltas (``_StreamingVerifier.wants_enabled_masks``):
+    # a value-plane step batches guards-only masks for each round's fresh
+    # rows and the merge primes the observer, replacing its serial
+    # re-derivation.  Guards are pure, so priming never changes a verdict.
+    prime = None
+    if tracked and getattr(observer, "wants_enabled_masks", False):
+        prime = getattr(observer, "prime_enabled", None)
+    want_masks = prime is not None
+
+    # Serial requests (and every state step) never fan out: skip the
+    # per-round dispatch decision, which narrow-round chains would pay
+    # once per state.
+    dispatch_round = step.dispatch if step.jobs > 1 else None
+    workers, dispatch = 1, "serial_request"
+    tick = round_events.tick
+    expand_round = step.expand
+
+    pending: List[int] = list(range(initial_count))
+    round_depth = 0
     i = -1
     finalized = -1
     try:
-        if observer is not None:
+        if tracked:
             for idx in range(initial_count):
                 observer.on_state(idx, states[idx], 0)
-        while queue:
-            i = queue.popleft()
-            if expanded[i]:
-                continue
-            if max_depth is not None and depth[i] > max_depth:
-                frontier.add(i)
+        while pending:
+            if max_depth is not None and round_depth > max_depth:
+                # Every pending state sits at the same BFS depth — the
+                # depth bound cuts the whole round.
+                frontier.update(pending)
                 truncated = True
-                continue
+                break
+            if dispatch_round is not None:
+                workers, dispatch = dispatch_round(len(pending))
+            if traced:
+                telemetry.count("shard.rounds")
+                telemetry.count(f"shard.{step.name}_rounds")
+                telemetry.count(
+                    "shard.parallel_rounds" if workers > 1 else "shard.serial_rounds"
+                )
+                if workers <= 1:
+                    telemetry.count(f"shard.serial_round.{dispatch}")
+                telemetry.observe("shard.round_pending", len(pending))
             if progress is not None:
-                progress.maybe(len(states), len(queue), depth[i])
-            if ticker is not None:
-                ticks += 1
-                if not ticks % tick_stride:
-                    ticker.tick(len(states), len(queue), depth[i])
-            expanded[i] = 1
-            state = states[i]
-            successor_depth = depth[i] + 1
-            at_budget = max_states is not None and len(states) >= max_states
-            # ``expand`` hands back enabledness and successors from one guard
-            # pass (and lets compiled systems answer from their successor
-            # cache); unexpanded states get a guards-only query at the end.
-            enabled_set, posts = expand_fn(state)
-            mask = 0
-            for label in enabled_set:
-                k = label_ids.get(label)
-                if k is None:
-                    k = len(labels)
-                    label_ids[label] = k
-                    labels.append(label)
-                mask |= 1 << k
-            emask_of[i] = mask
-            for command, target in posts:
-                if at_budget:
-                    # At the state budget only already-interned successors may
-                    # be recorded; a genuinely new one is lost, so the source
-                    # becomes frontier.
-                    j = interner.lookup(target)
-                    if j is None:
-                        frontier.add(i)
-                        truncated = True
-                        # The state stays expanded for the transitions already
-                        # recorded; mark it frontier because this successor is
-                        # lost.
-                        break
-                else:
-                    j, is_new = interner.intern(target)
-                    if is_new:
-                        depth.append(successor_depth)
-                        emask_of.append(-1)
-                        expanded.append(0)
-                        at_budget = max_states is not None and len(states) >= max_states
-                        if observer is not None:
-                            observer.on_state(j, target, successor_depth)
-                k = label_ids.get(command)
-                if k is None:
-                    k = len(labels)
-                    label_ids[command] = k
-                    labels.append(command)
-                src.append(i)
-                cmd.append(k)
-                dst.append(j)
-                if not expanded[j]:
-                    queue.append(j)
-                if observer is not None:
-                    observer.on_transition(i, command, j)
-            else:
-                # The posts loop completed without a budget break: the
-                # state's recorded transitions are final.
-                if observer is not None:
-                    finalized = i
-                    observer.on_expanded(i, enabled_set)
+                progress.maybe(len(states), len(pending), round_depth)
+            tick(round_depth, len(pending), len(states), workers, dispatch)
+            round_span = (
+                telemetry.span(
+                    "shard_round",
+                    round=round_depth,
+                    pending=len(pending),
+                    workers=workers,
+                )
+                if traced
+                else telemetry.NOOP_SPAN
+            )
+            with round_span:
+                results, row_masks = expand_round(
+                    states, pending, workers, want_masks, index
+                )
+                if traced:
+                    telemetry.count("shard.states_expanded", len(pending))
+                    telemetry.count(
+                        "shard.posts", sum(len(posts) for _, posts in results)
+                    )
+                merge_started = time.perf_counter() if traced else 0.0
+                next_pending: List[int] = []
+                pending_append = next_pending.append
+                successor_depth = round_depth + 1
+                if row_masks is not None:
+                    # This round's sources: their masks arrived with the
+                    # expansion results, so transitions between same-round
+                    # states never fall back to serial derivation.
+                    for p, (p_mask, _) in zip(pending, results):
+                        prime(p, labels_of(p_mask))
+                for i, (mask, posts) in zip(pending, results):
+                    expanded[i] = 1
+                    emask_of[i] = mask
+                    at_budget = not unbudgeted and len(states) >= max_states
+                    for command, key in posts:
+                        j = lookup(key)
+                        if at_budget:
+                            if j is None:
+                                # A genuinely new successor is lost at the
+                                # state budget: the source becomes frontier
+                                # (its recorded prefix is dropped at the end).
+                                frontier.add(i)
+                                truncated = True
+                                break
+                        elif j is None:
+                            j = len(states)
+                            target = make_state(key)
+                            states_append(target)
+                            index[key] = j
+                            emask_append(-1)
+                            expanded_append(0)
+                            pending_append(j)
+                            if not unbudgeted:
+                                at_budget = j + 1 >= max_states
+                            if tracked:
+                                observer.on_state(j, target, successor_depth)
+                                if row_masks is not None:
+                                    p_mask = row_masks.get(key)
+                                    if p_mask is not None:
+                                        prime(j, labels_of(p_mask))
+                        k = kmap[command]
+                        src_append(i)
+                        cmd_append(k)
+                        dst_append(j)
+                        if tracked:
+                            observer.on_transition(i, labels[k], j)
+                    else:
+                        # No budget break: the recorded transitions are final.
+                        if tracked:
+                            finalized = i
+                            observer.on_expanded(i, labels_of(mask))
+                if traced:
+                    telemetry.observe(
+                        "shard.merge_s", time.perf_counter() - merge_started
+                    )
+            pending = next_pending
+            round_depth += 1
     except StopExploration:
-        # A state whose expansion was still in flight reverts to frontier,
-        # so its partially-observed transitions are dropped by
-        # ``_finish_graph`` like any other truncated source; a stop raised
-        # from ``on_expanded`` keeps the (final, already consumed)
-        # transitions.  ``truncated`` is deliberately not set: stopping is
-        # a consumer verdict, not a bound.
+        # The state whose merge was in flight reverts to frontier, so its
+        # partially-observed transitions are dropped by ``_finish_graph``
+        # like any other truncated source; a stop raised from its own
+        # ``on_expanded`` keeps the (final, already consumed) transitions.
+        # States of the round not merged yet stay unexpanded, and no
+        # further round is expanded.  ``truncated`` is deliberately not
+        # set: stopping is a consumer verdict, not a bound.
         if i >= 0 and i != finalized and expanded[i]:
             expanded[i] = 0
         _stop_counters(len(states))
+    finally:
+        step.close()
 
     if progress is not None:
         progress.close()
     return _finish_graph(
         system=system,
-        interner=interner,
+        states=states,
+        index=index if step.keys_are_states else None,
         labels=labels,
         label_ids=label_ids,
         src=src,
@@ -858,13 +978,14 @@ def _explore_serial(
         strict=strict,
         max_states=max_states,
         max_depth=max_depth,
-        enabled_fn=enabled_fn,
+        enabled_fn=step.enabled,
     )
 
 
 def _finish_graph(
     system: TransitionSystem,
-    interner: StateInterner,
+    states: List[State],
+    index: Dict[State, int] | None,
     labels: List[str],
     label_ids: Dict[str, int],
     src: array,
@@ -878,18 +999,15 @@ def _finish_graph(
     strict: bool,
     max_states: int | None,
     max_depth: int | None,
-    enabled_fn=None,
+    enabled_fn,
 ) -> ReachableGraph:
-    """Shared tail of the serial and sharded explorers.
+    """The tail of exploration.
 
     Applies the strict-mode check, completes the frontier with never-expanded
     states, fills in guards-only enabled masks for them, drops transitions
     recorded from partially-expanded frontier sources, and assembles the
-    compact graph.  Keeping this in one place is part of the bit-identity
-    argument: both explorers feed it the same intermediate state.
+    compact graph.
     """
-    states = interner.states
-
     if truncated and strict:
         raise ExplorationLimitError(
             f"exploration truncated at {len(states)} states "
@@ -901,17 +1019,11 @@ def _finish_graph(
         if not expanded[i]:
             frontier.add(i)
 
-    query_enabled = system.enabled if enabled_fn is None else enabled_fn
     for i in range(len(states)):
         if emask_of[i] < 0:
             mask = 0
-            for label in query_enabled(states[i]):
-                k = label_ids.get(label)
-                if k is None:
-                    k = len(labels)
-                    label_ids[label] = k
-                    labels.append(label)
-                mask |= 1 << k
+            for label in enabled_fn(states[i]):
+                mask |= 1 << label_ids[label]
             emask_of[i] = mask
 
     # Keep only transitions whose source was genuinely expanded; a partially
@@ -940,5 +1052,5 @@ def _finish_graph(
         enabled_masks=emask_of,
         initial_count=initial_count,
         frontier=frontier,
-        index=interner.index,
+        index=index,
     )

@@ -93,29 +93,16 @@ class TransitionSystem(ABC):
         if len(set(commands)) != len(commands):
             raise ValueError(f"duplicate command labels in {commands!r}")
 
-    def shard_spec(self) -> bytes | None:
-        """A picklable payload that rebuilds this system in a worker process.
-
-        The sharded explorer ships this to the worker pool once per
-        exploration; workers rebuild the system from it and expand states
-        locally.  ``None`` (the default) means the system cannot be
-        reconstructed elsewhere — closures, open resources, views over
-        unpicklable bases — and exploration silently stays serial.
-        Overrides must guarantee the rebuilt system is *semantically
-        identical*: same commands, same ``expand`` results for every state.
-        """
-        return None
-
     def value_plane(self):
         """The system's packed value plane, or ``None`` (the default).
 
         A *value plane* (:class:`repro.gcl.program.ProgramValuePlane` is
         the canonical one) exposes the system's states as flat int64
-        tuples with batched expansion, which lets the sharded explorer
-        move the hot data over shared memory and evaluate guards in
-        batches instead of pickling state objects.  Systems without a
-        natural flat encoding simply return ``None`` and take the
-        object-level paths; results are bit-identical either way.
+        tuples with batched expansion, which lets exploration evaluate
+        guards once per BFS round instead of once per state (and move
+        wide rounds to pool workers over shared memory).  Systems without
+        a natural flat encoding simply return ``None`` and are expanded
+        one state at a time; results are bit-identical either way.
         """
         return None
 
@@ -209,17 +196,6 @@ class ExplicitSystem(TransitionSystem):
     def known_states(self) -> frozenset:
         """Every state mentioned in the construction (not just reachable)."""
         return frozenset(self._states)
-
-    def shard_spec(self) -> bytes | None:
-        """Explicit systems are plain data — ship them whole (when their
-        states happen to be picklable; generator-built systems with closure
-        states are not, and fall back to serial exploration)."""
-        import pickle
-
-        try:
-            return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return None
 
 
 class RenamedSystem(TransitionSystem):

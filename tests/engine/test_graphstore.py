@@ -1,8 +1,7 @@
 """The content-addressed graph store: bit-identity, chunks, incremental.
 
-Everything here is differential: warm loads, migrated v1 entries and
-incremental re-explorations are compared against fresh serial
-explorations via :func:`~repro.engine.shard.graph_digest` (and full
+Everything here is differential: warm loads and incremental
+re-explorations are compared against fresh explorations via :func:`~repro.engine.shard.graph_digest` (and full
 object-level fingerprints), so a wrong graph — not just a crash — fails.
 """
 
@@ -28,11 +27,8 @@ from repro.engine.graphstore import (
     family_key,
     find_incremental_base,
     last_outcome,
-    load_graph_v1,
-    store_graph_v1,
-    v1_cache_key,
 )
-from repro.gcl import parse_program
+from repro.gcl import Program, parse_program
 from repro.ts import explore
 from repro.workloads import (
     counter_grid,
@@ -182,15 +178,25 @@ class TestCacheKey:
         assert not hit
         assert not graph.frontier
 
-    def test_serial_spellings_share_one_key(self):
-        base = exploration_cache_key(p2(5))
-        assert exploration_cache_key(p2(5), n_jobs=0) == base
-        assert exploration_cache_key(p2(5), n_jobs=1) == base
+    def test_serial_spellings_share_one_key(self, tmp_path):
+        explore_with_cache(p2(5), cache_dir=tmp_path, n_jobs=0)
+        for jobs in (None, 1):
+            _, hit = explore_with_cache(p2(5), cache_dir=tmp_path, n_jobs=jobs)
+            assert hit
+        assert len(list(tmp_path.glob("manifest-*.json"))) == 1
 
-    def test_job_count_enters_the_key(self):
-        assert exploration_cache_key(p2(5), n_jobs=4) != (
-            exploration_cache_key(p2(5))
-        )
+    def test_every_job_count_hits_one_entry(self, tmp_path):
+        # Every job count explores the bit-identical graph, so an entry
+        # published without jobs serves a parallel request and back.
+        graph, hit = explore_with_cache(p2(5), cache_dir=tmp_path)
+        assert not hit
+        reloaded, hit = explore_with_cache(p2(5), cache_dir=tmp_path, n_jobs=2)
+        assert hit
+        assert last_outcome().kind == "hit"
+        assert graph_digest(reloaded) == graph_digest(graph)
+        explore_with_cache(p2(6), cache_dir=tmp_path, n_jobs=2)
+        _, hit = explore_with_cache(p2(6), cache_dir=tmp_path)
+        assert hit
 
     def test_sharded_entry_round_trips(self, tmp_path):
         graph, hit = explore_with_cache(p2(5), cache_dir=tmp_path, n_jobs=4)
@@ -456,43 +462,6 @@ def _edited_p2_50_source():
     return source.replace("x := x + 1", "x := x + 2", 1)
 
 
-class TestMigration:
-    def test_v1_entry_migrates_to_v2_on_hit(self, tmp_path):
-        program = p2(5)
-        graph = explore(program)
-        store_graph_v1(graph, tmp_path, v1_cache_key(program))
-        assert list(tmp_path.glob("graph-*.json"))
-        migrated, hit = explore_with_cache(p2(5), cache_dir=tmp_path)
-        assert hit
-        assert last_outcome().kind == "migrated"
-        assert _fingerprint(migrated) == _fingerprint(graph)
-        # The legacy entry is gone; the v2 manifest serves the next hit.
-        assert not list(tmp_path.glob("graph-*.json"))
-        assert list(tmp_path.glob("manifest-*.json"))
-        again, hit = explore_with_cache(p2(5), cache_dir=tmp_path)
-        assert hit
-        assert last_outcome().kind == "hit"
-        assert _fingerprint(again) == _fingerprint(graph)
-
-    def test_v1_round_trip_helpers(self, tmp_path):
-        program = p2(50)
-        graph = explore(program, max_states=10)
-        key = v1_cache_key(program, max_states=10)
-        store_graph_v1(graph, tmp_path, key)
-        reloaded = load_graph_v1(p2(50), tmp_path, key)
-        assert _fingerprint(reloaded) == _fingerprint(graph)
-
-    def test_corrupt_v1_entry_is_deleted_and_re_explored(self, tmp_path):
-        program = p2(5)
-        key = v1_cache_key(program)
-        path = store_graph_v1(explore(program), tmp_path, key)
-        path.write_text("{ not json")
-        graph, hit = explore_with_cache(p2(5), cache_dir=tmp_path)
-        assert not hit
-        assert not path.exists()
-        assert graph_digest(graph) == graph_digest(explore(p2(5)))
-
-
 class TestWideProgramsBypass:
     def _wide_program(self):
         commands = "\n  [] ".join(
@@ -597,18 +566,19 @@ class TestEviction:
         assert list(tmp_path.glob("manifest-*.json")) == []
         assert list(tmp_path.glob("chunk-*.bin")) == []
 
-    def test_legacy_v1_entries_count_and_evict(self, tmp_path):
-        # Satellite: graph-*.json leftovers are budget-counted LRU
-        # victims, not crashes.
-        legacy = store_graph_v1(
-            explore(p2(5)), tmp_path, v1_cache_key(p2(5))
-        )
+    def test_legacy_v1_files_are_ignored(self, tmp_path):
+        # A whole-graph graph-*.json file of the v1 cache is an unknown
+        # file: never read, never evicted, never counted.
+        legacy = tmp_path / ("graph-" + "e" * 64 + ".json")
+        legacy.write_text('{"format": 1}')
         os.utime(legacy, (500, 500))
         keeper = self._store(tmp_path, p2(6), 2000)
-        removed = evict_cache(tmp_path, self._entry_mb(keeper))
-        assert legacy in removed
-        assert not legacy.exists()
-        assert keeper.manifest.exists()
+        assert evict_cache(tmp_path, self._entry_mb(keeper)) == []
+        assert legacy.exists()
+        graph, hit = explore_with_cache(p2(5), cache_dir=tmp_path)
+        assert not hit
+        assert graph_digest(graph) == graph_digest(explore(p2(5)))
+        assert legacy.exists()
 
     def test_corrupt_manifests_are_ordinary_victims(self, tmp_path):
         junk = tmp_path / ("manifest-" + "f" * 64 + ".json")
@@ -679,7 +649,9 @@ class TestEviction:
 
 class TestSuccessorCacheStats:
     def test_exploration_populates_then_hits(self):
-        program = counter_grid(3, 3)
+        # Interpreted programs have no value plane: exploration expands
+        # them through ``Program.expand`` and its successor cache.
+        program = Program(counter_grid(3, 3).ast, compiled=False)
         explore(program)
         hits, misses = program.successor_cache_stats()
         assert misses > 0
@@ -689,6 +661,18 @@ class TestSuccessorCacheStats:
         assert hits_after > hits
         program.clear_successor_cache()
         assert program.successor_cache_stats() == (0, 0)
+
+    def test_post_replay_fills_the_cache_value_plane_exploration_skips(self):
+        program = counter_grid(3, 3)
+        graph = explore(program)
+        assert program.successor_cache_stats() == (0, 0)
+        for state in graph.states:
+            program.post(state)
+        hits, misses = program.successor_cache_stats()
+        assert (hits, misses) == (0, len(graph))
+        for state in graph.states:
+            program.post(state)
+        assert program.successor_cache_stats() == (len(graph), len(graph))
 
 
 class TestCommandDigests:

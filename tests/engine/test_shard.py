@@ -1,30 +1,27 @@
-"""Differential tests for sharded exploration (DESIGN §6d).
+"""Differential tests for pool fan-out of exploration rounds (DESIGN §6d).
 
-The whole point of the sharded explorer is that it is *invisible*: for
+The whole point of fanning rounds out is that it is *invisible*: for
 every workload family, every job count and every truncation mode, the
-graph it produces must be bit-identical to the serial explorer's — same
-state interning order, same transition order, same enabled sets, same
+graph must be bit-identical to an in-process exploration's — same state
+interning order, same transition order, same enabled sets, same
 frontier, same strict-mode error message.  These tests force the pool on
-(``REPRO_FORCE_PARALLEL=1``) so the parallel merge path actually runs
-even on single-core CI machines and below the per-round cutoff.
+(``REPRO_FORCE_PARALLEL=1``) so the shared-memory path actually runs
+even on single-core CI machines and below the per-round cutoff.  The
+full differential table against the FIFO reference loop lives in
+``test_explore_paths.py``.
 """
 
 import pickle
 
 import pytest
 
-from repro.engine.shard import (
-    SHARD_ROUND_CUTOFF,
-    _round_workers,
-    graph_digest,
-)
-from repro.gcl import Program
+from repro.engine.reference import explore_reference
+from repro.engine.shard import SHARD_ROUND_CUTOFF, _round_dispatch, graph_digest
 from repro.gcl.compile import CompiledProgram
 from repro.ts import ExplorationLimitError, explore
 from repro.ts.system import TransitionSystem
 from repro.workloads import (
     counter_grid,
-    dining_philosophers,
     engine_scaling_suite,
     large_scaling_suite,
 )
@@ -118,7 +115,7 @@ class TestDifferentialBounded:
 
 
 class _Opaque(TransitionSystem):
-    """A system without a shard spec (inherits the None default)."""
+    """A system without a value plane (inherits the None default)."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -138,10 +135,10 @@ class _Opaque(TransitionSystem):
 
 class TestFallbacks:
     def test_unshardable_system_falls_back_to_serial(self, force_parallel):
-        inner = dining_philosophers(3)
-        assert _Opaque(inner).shard_spec() is None
-        serial = explore(dining_philosophers(3))
-        fallback = explore(_Opaque(dining_philosophers(3)), n_jobs=4)
+        # No value plane: every round expands in-process, whatever n_jobs.
+        assert _Opaque(counter_grid(3, 3)).value_plane() is None
+        serial = explore(counter_grid(3, 3))
+        fallback = explore(_Opaque(counter_grid(3, 3)), n_jobs=4)
         assert _fingerprint(fallback) == _fingerprint(serial)
 
     def test_serial_request_never_imports_sharding(self):
@@ -150,7 +147,7 @@ class TestFallbacks:
 
 
 class TestPicklability:
-    """Workers rebuild systems from ``shard_spec``; the pieces must ship."""
+    """Workers rebuild value planes from their pickles; the pieces must ship."""
 
     def test_program_pickle_roundtrip(self):
         program = counter_grid(2, 4)
@@ -165,36 +162,27 @@ class TestPicklability:
         clone = pickle.loads(pickle.dumps(compiled))
         assert clone.by_label.keys() == compiled.by_label.keys()
 
-    def test_shard_spec_rebuilds_equivalent_system(self):
-        program = counter_grid(2, 4)
-        spec = program.shard_spec()
-        assert spec is not None
-        rebuilt = pickle.loads(spec)
-        assert _fingerprint(explore(rebuilt)) == (
-            _fingerprint(explore(program))
-        )
-
 
 class TestRoundDispatch:
     def test_serial_requests_stay_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-        assert _round_workers(1, 10**6) == 1
-        assert _round_workers(0, 10**6) == 1
-        assert _round_workers(4, 0) == 1
+        assert _round_dispatch(1, 10**6) == (1, "serial_request")
+        assert _round_dispatch(0, 10**6) == (1, "serial_request")
+        assert _round_dispatch(4, 0) == (1, "serial_request")
 
     def test_narrow_rounds_are_demoted(self, monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 8)
-        assert _round_workers(4, SHARD_ROUND_CUTOFF - 1) == 1
-        assert _round_workers(4, SHARD_ROUND_CUTOFF) == 4
+        assert _round_dispatch(4, SHARD_ROUND_CUTOFF - 1) == (1, "narrow_round")
+        assert _round_dispatch(4, SHARD_ROUND_CUTOFF) == (4, "parallel")
 
     def test_single_core_demotes(self, monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 1)
-        assert _round_workers(4, SHARD_ROUND_CUTOFF * 10) == 1
+        assert _round_dispatch(4, SHARD_ROUND_CUTOFF * 10) == (1, "single_core")
 
     def test_force_env_overrides(self, force_parallel):
-        assert _round_workers(4, 1) == 4
+        assert _round_dispatch(4, 1) == (4, "forced")
 
 
 class TestGraphDigest:
@@ -215,22 +203,19 @@ class TestGraphDigest:
 
 
 class TestValuePlaneWireFormats:
-    """The zero-copy PR (DESIGN §6f) added a second parallel wire format:
-    value-plane systems ship flat int64 rows over shared memory instead
-    of pickled state objects.  Both formats, and the serial explorer,
-    must stay fingerprint-identical — including under truncation."""
+    """Value-plane programs ship flat int64 rows to pool workers over
+    shared memory (DESIGN §6f).  Three paths remain — the FIFO reference
+    loop, in-process rounds and shared-memory rounds — and they must stay
+    fingerprint-identical, including under truncation."""
 
     @pytest.mark.parametrize("name,make", _families())
     def test_three_paths_identical(self, force_parallel, monkeypatch, name, make):
-        from repro.engine.shard import value_plane_of
-
-        serial = _fingerprint(explore(make()))
         shm_path = _fingerprint(explore(make(), n_jobs=2))
-        monkeypatch.setenv("REPRO_VALUE_PLANE", "0")
-        assert value_plane_of(make()) is None
-        pickled = _fingerprint(explore(make(), n_jobs=2))
-        assert shm_path == serial, f"{name}: shm wire format differs"
-        assert pickled == serial, f"{name}: pickled wire format differs"
+        monkeypatch.delenv("REPRO_FORCE_PARALLEL")
+        in_process = _fingerprint(explore(make()))
+        reference = _fingerprint(explore_reference(make()))
+        assert in_process == reference, f"{name}: in-process rounds differ"
+        assert shm_path == reference, f"{name}: shm wire format differs"
 
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     def test_bounded_value_plane_identical(self, force_parallel, jobs):
@@ -247,9 +232,8 @@ class TestValuePlaneWireFormats:
         assert str(plane_error.value) == str(serial_error.value)
 
     def test_plane_takes_coordinator_without_force(self, monkeypatch):
-        """On any machine, a value-plane system asked for parallelism runs
-        the coordinator (batched rounds beat the plain serial loop even
-        when the pool is demoted) — digests must still match serial."""
+        """Without the force switch, narrow rounds stay in-process (and on
+        one core every round does) — digests must still match."""
         monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
         serial = explore(counter_grid(6, 6))
         routed = explore(counter_grid(6, 6), n_jobs=4)

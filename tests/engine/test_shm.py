@@ -9,9 +9,9 @@ after an exploration aborted by an exception or ``StopExploration``, or
 after a worker process dies mid-attach — only the owning coordinator
 ever unlinks.
 
-The value-plane differential tests pin the end-to-end claim: the
-shared-memory wire format, the pickled wire format and the serial
-explorer produce bit-identical graphs.
+The value-plane differential tests pin the end-to-end claim: rounds
+fanned out over shared memory and rounds expanded in-process produce
+bit-identical graphs.
 """
 
 import os
@@ -20,7 +20,7 @@ import pathlib
 import pytest
 
 from repro.engine import shm
-from repro.engine.shard import graph_digest, value_plane_of
+from repro.engine.shard import graph_digest
 from repro.telemetry import core as telemetry
 from repro.ts import StopExploration, ExplorationObserver, explore
 from repro.workloads import counter_grid, dining_philosophers
@@ -233,19 +233,6 @@ class TestExplorationLeakContract:
 
 
 class TestValuePlaneDifferential:
-    def test_three_wire_formats_agree(self, force_parallel, monkeypatch):
-        serial = graph_digest(explore(counter_grid(12, 12)))
-        plane = graph_digest(explore(counter_grid(12, 12), n_jobs=2))
-        monkeypatch.setenv("REPRO_VALUE_PLANE", "0")
-        pickled = graph_digest(explore(counter_grid(12, 12), n_jobs=2))
-        assert serial == plane == pickled
-
-    def test_value_plane_env_kill_switch(self, monkeypatch):
-        system = counter_grid(3, 3)
-        assert value_plane_of(system) is not None
-        monkeypatch.setenv("REPRO_VALUE_PLANE", "0")
-        assert value_plane_of(system) is None
-
     def test_values_rounds_counted(self, force_parallel):
         telemetry.reset()
         telemetry.enable()
@@ -262,9 +249,9 @@ class TestValuePlaneDifferential:
         self, force_parallel
     ):
         # dining_philosophers composes ExplicitSystems — no value plane —
-        # so the legacy pickled path must carry it, bit-identically.
+        # so every round expands in-process, bit-identically.
         system = dining_philosophers(3)
-        assert value_plane_of(system) is None
+        assert system.value_plane() is None
         serial = graph_digest(explore(dining_philosophers(3)))
         sharded = graph_digest(explore(dining_philosophers(3), n_jobs=2))
         assert serial == sharded

@@ -13,7 +13,9 @@ import pytest
 from repro import telemetry
 from repro.engine.graphstore import explore_with_cache
 from repro.engine.parallel import parallel_map
+from repro.gcl import Program
 from repro.completeness.synthesis import synthesize_measure
+from repro.fairness.checker import check_fair_termination
 from repro.measures.verification import check_measure
 from repro.ts import explore
 from repro.workloads import counter_grid
@@ -109,9 +111,11 @@ class TestPipelineTotalsAcrossJobCounts:
             per_jobs[jobs] = (len(graph), counters)
             telemetry.disable()
         states, serial = per_jobs[1]
-        # jobs=1 routes to the serial BFS: explore.* totals, no shard.*.
+        # Every job count runs the same rounds; only where they expand
+        # differs, and worker-side counts aggregate to the same totals.
         assert serial["explore.states"] == states
-        assert "shard.states_expanded" not in serial
+        assert serial["shard.states_expanded"] == states
+        assert "shard.parallel_rounds" not in serial
         for jobs in (2, 4):
             _, counters = per_jobs[jobs]
             assert counters["explore.states"] == states
@@ -119,10 +123,10 @@ class TestPipelineTotalsAcrossJobCounts:
             assert counters["explore.transitions"] == (
                 serial["explore.transitions"]
             )
-            # The sharded run actually fanned out.
+            assert counters["shard.posts"] == serial["shard.posts"]
+            assert counters["shard.rounds"] == serial["shard.rounds"]
+            # The parallel run actually fanned out.
             assert counters["shard.parallel_rounds"] > 0
-        # Worker-side counts aggregate to the same totals at any width.
-        assert per_jobs[2][1]["shard.posts"] == per_jobs[4][1]["shard.posts"]
 
     def test_synthesis_totals_identical_across_job_counts(
         self, force_parallel
@@ -145,6 +149,17 @@ class TestPipelineTotalsAcrossJobCounts:
         assert totals[4] == totals[1]
 
 
+class TestPhases:
+    def test_non_streaming_decide_is_a_phase(self):
+        graph = explore(counter_grid(4, 4))
+        telemetry.enable()
+        result = check_fair_termination(graph)
+        assert result.fairly_terminates
+        phases = telemetry.phase_seconds()
+        assert "decide" in phases
+        assert "explore" not in phases  # explored before collection began
+
+
 class TestGraphStoreCounters:
     def test_miss_store_then_hit(self, tmp_path):
         telemetry.enable()
@@ -164,7 +179,9 @@ class TestGraphStoreCounters:
 
     def test_successor_cache_counters_surface_in_explore(self):
         telemetry.enable()
-        program = counter_grid(4, 4)
+        # Interpreted programs expand through ``Program.expand`` and its
+        # successor cache (value-plane programs never touch it).
+        program = Program(counter_grid(4, 4).ast, compiled=False)
         explore(program)
         first = _counters()
         assert first["succache.miss"] > 0

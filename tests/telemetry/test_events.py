@@ -129,48 +129,8 @@ class TestSubscribers:
         events.remove_tap()
         assert not events.live()
 
-    def test_exploration_ticker_only_when_live(self):
-        assert events.exploration_ticker() is None
-        events.add_tap()
-        try:
-            assert events.exploration_ticker() is not None
-        finally:
-            events.remove_tap()
-
 
 class TestTickers:
-    def test_explore_ticker_emits_when_interval_elapsed(self, monkeypatch):
-        monkeypatch.setattr(events, "ROUND_INTERVAL_S", 0.0)
-        ticker = events.ExploreTicker()
-        for states in (4, 8, 12):
-            ticker.tick(states, queued=2, depth=1)
-        tail = telemetry.flight_recorder().tail()
-        assert [event["event"] for event in tail] == ["explore.progress"] * 3
-        assert [event["data"]["states"] for event in tail] == [4, 8, 12]
-
-    def test_explore_ticker_respects_interval(self, monkeypatch):
-        monkeypatch.setattr(events, "ROUND_INTERVAL_S", 3600.0)
-        ticker = events.ExploreTicker()
-        for states in range(1, 10):
-            ticker.tick(states, queued=0, depth=0)
-        # The first call emits; everything after sits inside the interval.
-        assert len(telemetry.flight_recorder().tail()) == 1
-
-    def test_serial_explore_strides_at_the_call_site(self, monkeypatch):
-        # The hot loop only builds tick arguments every PROGRESS_STRIDE
-        # expansions, so a stride larger than the state space means the
-        # ticker never fires even with a consumer attached.
-        monkeypatch.setattr(events, "PROGRESS_STRIDE", 10**9)
-        received = []
-        telemetry.subscribe(received.append)
-        try:
-            explore(counter_grid(5, 5))
-        finally:
-            telemetry.unsubscribe(received.append)
-        assert not any(
-            e["event"] == "explore.progress" for e in received
-        )
-
     def test_round_ticker_emits_first_round_then_throttles(self, monkeypatch):
         monkeypatch.setattr(events, "ROUND_INTERVAL_S", 3600.0)
         ticker = events.round_ticker()
@@ -283,18 +243,20 @@ class TestEngineEmission:
                                          type(graph.system).__name__)
 
     def test_serial_explore_heartbeats_when_live(self, monkeypatch):
-        monkeypatch.setattr(events, "PROGRESS_STRIDE", 8)
+        # A default explore (no jobs) beats through the round ticker.
         monkeypatch.setattr(events, "ROUND_INTERVAL_S", 0.0)
         received = []
         telemetry.subscribe(received.append)
         try:
-            explore(counter_grid(5, 5))
+            graph = explore(counter_grid(5, 5))
         finally:
             telemetry.unsubscribe(received.append)
-        progress = [e for e in received if e["event"] == "explore.progress"]
-        assert progress, "a live consumer must see exploration heartbeats"
-        states = [e["data"]["states"] for e in progress]
+        rounds = [e for e in received if e["event"] == "explore.round"]
+        assert rounds, "a live consumer must see exploration heartbeats"
+        states = [e["data"]["states"] for e in rounds]
         assert states == sorted(states)
+        assert states[-1] <= len(graph)
+        assert {e["data"]["workers"] for e in rounds} == {1}
 
     def test_sharded_explore_emits_round_events(self, monkeypatch):
         monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
