@@ -14,9 +14,11 @@ Subcommands
   report its statistics.
 
 All subcommands accept ``--max-states``/``--max-depth`` exploration bounds
-(infinite-state programs need them) and ``--jobs N`` to fan verification and
-synthesis out over a process pool (results are identical to the serial run;
-``synthesize`` and ``check`` print an engine-timing footer).
+(infinite-state programs need them) and ``--jobs N``, which fans the
+columnar verification plane of ``check``/``synthesize`` out over a process
+pool (results are identical to the serial run).  Exploration, decision and
+synthesis always run in-process; there ``--jobs`` is accepted and has no
+effect.  ``synthesize`` and ``check`` print an engine-timing footer.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for exploration/verification/synthesis "
+        help="worker processes for measure verification (the columnar "
+        "plane); no effect on exploration, decision or synthesis "
         "(default/1 = serial; small work auto-falls back to serial; "
         "results are bit-identical either way)",
     )

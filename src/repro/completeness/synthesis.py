@@ -32,11 +32,9 @@ re-derives the verification conditions independently.
 Engine notes: requirement predicates (arbitrary Python callables) are
 evaluated exactly once per state and once per transition, up front; the
 recursive decomposition then runs purely on integer indices and interned
-requirement names over the graph's packed CSR arrays.  Because the
-precomputed context is plain picklable data, the per-top-SCC work — regions
-are independent: they touch disjoint states — can fan out over a process
-pool (``n_jobs``), with results merged in component order so stacks,
-regions and error behaviour are identical to the serial run.
+requirement names over the graph's packed CSR arrays.  Every region's
+sub-SCC pass shares the graph's one Tarjan scratch, so a region costs
+time in its own size, not in the graph's.
 """
 
 from __future__ import annotations
@@ -44,9 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.analysis import tarjan_scc_csr
+from repro.engine.analysis import TarjanScratch, tarjan_scc_csr
 from repro.engine.packed import PackedGraph
-from repro.engine.parallel import chunk_items, effective_jobs, parallel_map
 from repro.fairness.generalized import (
     FairnessRequirement,
     GeneralFairCycle,
@@ -122,8 +119,8 @@ class _SynthesisContext:
     """Plain-data view of one synthesis problem.
 
     Everything a region processor needs, free of transition systems,
-    assignments and requirement callables — so it pickles, and so the
-    recursion never calls back into Python predicates:
+    assignments and requirement callables — so the recursion never calls
+    back into Python predicates:
 
     * ``packed`` — the graph's CSR arrays;
     * ``demanded`` — per state, the frozenset of requirement names
@@ -131,13 +128,17 @@ class _SynthesisContext:
     * ``fulfilled`` — per transition id, the frozenset of requirement
       names that transition fulfils (each ``fulfilled_by`` evaluated once);
     * ``names`` — requirement names in declaration order (the helpful
-      choice scans them in this order, matching the seed exactly).
+      choice scans them in this order, matching the seed exactly);
+    * ``scratch`` — the graph's Tarjan work arrays, shared by every
+      region's sub-SCC pass (one per region would make each pass cost
+      O(states) to allocate, and synthesis O(states × regions)).
     """
 
     packed: PackedGraph
     demanded: Tuple[frozenset, ...]
     fulfilled: Tuple[frozenset, ...]
     names: Tuple[str, ...]
+    scratch: TarjanScratch
 
 
 class _RegionUnfair(Exception):
@@ -197,6 +198,7 @@ def _build_context(
         demanded=demanded,
         fulfilled=fulfilled,
         names=names,
+        scratch=graph.analyses.scratch(),
     )
 
 
@@ -241,7 +243,7 @@ def _process_region_indexed(
         raise _RegionUnfair(len(region))
 
     rest = sorted(members - set(enabled_here))
-    sub_components = tarjan_scc_csr(ctx.packed, rest)
+    sub_components = tarjan_scc_csr(ctx.packed, rest, scratch=ctx.scratch)
     sub_rank: Dict[int, int] = {}
     for position, component in enumerate(sub_components):
         for node in component:
@@ -276,17 +278,15 @@ def _process_region_indexed(
     return info
 
 
-def _synthesis_chunk_worker(
-    payload: Tuple[_SynthesisContext, Sequence[Sequence[int]]],
+def _process_top_regions(
+    ctx: _SynthesisContext, regions: Sequence[Sequence[int]]
 ):
-    """Worker: process a chunk of independent top-level SCC regions.
+    """Process the independent top-level SCC regions, in order.
 
-    Returns one entry per region, in order: ``("ok", extra, info)`` with
-    the hypotheses appended above the base stacks, or
-    ``("unfair", region_size)``.  Module level for picklability; also the
-    serial path's engine.
+    Returns one entry per region: ``("ok", extra, info)`` with the
+    hypotheses appended above the base stacks, or ``("unfair",
+    region_size)``.
     """
-    ctx, regions = payload
     results = []
     traced = telemetry.enabled()
     for region in regions:
@@ -300,8 +300,6 @@ def _synthesis_chunk_worker(
         else:
             results.append(("ok", extra, info))
             if traced:
-                # Counted in the chunk engine (serial path == pool worker),
-                # so parent totals are exact for any job count.
                 telemetry.count("synthesize.regions", info.total_regions())
                 telemetry.count(
                     "synthesize.hypotheses",
@@ -323,11 +321,9 @@ def synthesize_measure(
     with ``check_measure(..., requirements=requirements)``.  Omitted, the
     paper's per-command strong fairness is used.
 
-    ``n_jobs`` distributes the top-level SCC regions — independent
-    sub-problems touching disjoint states — over a process pool; results
-    merge in component order, so stacks, regions and failure behaviour are
-    identical to the serial run (``None``/``0``/``1``, or whenever the pool
-    is unavailable).
+    ``n_jobs`` is accepted for interface compatibility and ignored:
+    synthesis always runs in-process (only the columnar verification
+    plane of :func:`~repro.measures.verification.check_measure` fans out).
 
     Raises :class:`NotFairlyTerminatingError` (with a fair-cycle witness)
     when none exists, and ``ValueError`` on incomplete graphs — a measure
@@ -341,7 +337,7 @@ def synthesize_measure(
     if requirements is None:
         requirements = command_requirements(graph.system)
     with telemetry.span("synthesize", states=len(graph), jobs=n_jobs) as sp:
-        result = _synthesize_inner(graph, requirements, n_jobs)
+        result = _synthesize_inner(graph, requirements)
         telemetry.count("synthesize.runs")
         telemetry.gauge("synthesize.max_stack_height", result.max_stack_height())
         sp.set("regions", result.region_count())
@@ -352,7 +348,6 @@ def synthesize_measure(
 def _synthesize_inner(
     graph: ReachableGraph,
     requirements: Sequence[FairnessRequirement],
-    n_jobs: int | None,
 ) -> SynthesisResult:
     top = decompose(graph)
     ctx = _build_context(graph, requirements)
@@ -371,24 +366,7 @@ def _synthesize_inner(
     telemetry.count("synthesize.top_sccs", len(nontrivial))
 
     regions: List[RegionInfo] = []
-    # Adaptive dispatch: the recursion's work scales with the transitions
-    # inside the candidate regions; below the cutoff the pool's fixed costs
-    # dominate and the request is demoted to serial (never-slower rule).
-    jobs = effective_jobs(n_jobs, len(graph.transitions))
-    if jobs <= 1 or len(nontrivial) < 2:
-        outcomes = _synthesis_chunk_worker((ctx, nontrivial))
-    else:
-        chunks = chunk_items(nontrivial, jobs)
-        payloads = [(ctx, chunk) for chunk in chunks]
-        outcomes = [
-            outcome
-            for chunk_result in parallel_map(
-                _synthesis_chunk_worker, payloads, n_jobs=jobs
-            )
-            for outcome in chunk_result
-        ]
-
-    for outcome in outcomes:
+    for outcome in _process_top_regions(ctx, nontrivial):
         if outcome[0] == "unfair":
             witness = find_generally_fair_cycle(graph, requirements)
             raise NotFairlyTerminatingError(

@@ -1,11 +1,10 @@
-"""High-performance engine layer: interning, packed graphs, parallel maps.
+"""High-performance engine layer: packed graphs, batched exploration rounds.
 
 Every pipeline in the reproduction — Theorem 1 measure checking, the §6
 fairness baseline, and Theorem 3 synthesis — funnels through explicit-state
 exploration and per-transition checks.  This package keeps those hot paths
 index-native:
 
-* :mod:`repro.engine.interning` — states hashed once at discovery;
 * :mod:`repro.engine.packed` — transitions as flat int arrays (CSR
   adjacency), command labels interned to bit positions;
 * :mod:`repro.engine.analysis` — SCC decomposition and per-region
@@ -13,13 +12,13 @@ index-native:
 * :mod:`repro.engine.parallel` — a chunked, deterministic process-pool map
   with a serial fallback, a **persistent worker pool** reused across calls,
   and **adaptive dispatch** (small work demotes to serial, so ``--jobs N``
-  never loses to the serial path), used by ``check_measure``,
-  ``synthesize_measure`` and the benchmark sweeps;
+  never loses to the serial path).  Its one caller in the library is the
+  columnar verification plane of ``check_measure``, which publishes its
+  columns through :mod:`repro.engine.shm`; exploration and synthesis
+  always run in-process;
 * :mod:`repro.engine.shard` — the value-plane expand step of the one
-  exploration loop: batched guard kernels per BFS round, with wide rounds
-  fanned out over the persistent pool through shared memory (CLI
-  ``--jobs`` on ``explore``/``decide``/``synthesize``); the graph is
-  bit-identical for every job count;
+  exploration loop: batched guard kernels per BFS round, plus
+  :func:`~repro.engine.shard.graph_digest`, the canonical graph digest;
 * :mod:`repro.engine.graphstore` — an optional cross-run content-addressed
   on-disk store of explored graphs: columns as SHA-256-addressed binary
   chunks under small per-``(program, bounds)`` manifests, mmap-backed
@@ -35,7 +34,6 @@ The engine never changes verdicts: every fast path is required (and tested)
 to produce results bit-identical to the straightforward implementation.
 """
 
-from repro.engine.interning import StateInterner
 from repro.engine.packed import CommandTable, PackedGraph
 from repro.engine.parallel import (
     PARALLEL_WORK_CUTOFF,
@@ -54,15 +52,13 @@ from repro.engine.graphstore import (
     load_cached_graph,
     store_graph,
 )
-from repro.engine.shard import SHARD_ROUND_CUTOFF, graph_digest
+from repro.engine.shard import graph_digest
 
 __all__ = [
     "CommandTable",
     "GraphAnalyses",
     "PackedGraph",
     "PARALLEL_WORK_CUTOFF",
-    "SHARD_ROUND_CUTOFF",
-    "StateInterner",
     "chunk_items",
     "effective_jobs",
     "evict_cache",

@@ -1126,8 +1126,10 @@ def explore_with_cache(
        **incremental re-exploration** — unchanged commands replay from
        the mapped base columns, edited ones re-evaluate — bit-identical
        to a cold run;
-    3. otherwise a **cold** exploration runs (wide rounds fanned out over
-       ``n_jobs`` workers when requested).
+    3. otherwise a **cold** exploration runs.
+
+    ``n_jobs`` is accepted for interface compatibility and ignored:
+    exploration always runs in-process.
 
     Misses publish their result (chunks deduplicated against the store)
     and — when ``cache_max_mb`` is set — trim the cache LRU-first.

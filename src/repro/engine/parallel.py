@@ -11,16 +11,14 @@ order of a violation list.
 Two policies keep ``--jobs N`` from ever losing to the serial path:
 
 * **Adaptive dispatch** (:func:`effective_jobs`): callers report an
-  estimated work size (transitions to check, internal transitions to
-  recurse over); below :data:`PARALLEL_WORK_CUTOFF` — or on a single-core
+  estimated work size (transitions to check); below :data:`PARALLEL_WORK_CUTOFF` — or on a single-core
   machine, where a process pool can only add overhead — the request is
   demoted to serial.  ``REPRO_FORCE_PARALLEL=1`` disables the demotion so
   tests and smoke benches can exercise the pool at any scale.
 * **A persistent worker pool** (:func:`get_pool`): the first parallel map
   creates the :class:`~concurrent.futures.ProcessPoolExecutor` lazily and
-  every later map reuses it, so repeated ``check_measure`` /
-  ``synthesize_measure`` calls pay worker start-up once per process, not
-  once per call.  The pool is resized (recreated) only when a map asks for
+  every later map reuses it, so repeated ``check_measure`` calls pay
+  worker start-up once per process, not once per call.  The pool is resized (recreated) only when a map asks for
   more workers than it has, and is shut down at interpreter exit.
 
 The pool is an optimisation, not a dependency: ``n_jobs=None``/``0``/``1``

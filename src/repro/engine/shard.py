@@ -1,4 +1,4 @@
-"""The value-plane expand step, with pool fan-out for wide rounds.
+"""The value-plane expand step of the one exploration loop.
 
 :func:`repro.ts.explore.explore` runs one level-synchronous BFS for every
 system; this module supplies its expand step for *value-plane* programs
@@ -11,107 +11,40 @@ state.  A single-row round skips the batch framing and calls
 :meth:`~repro.gcl.compile.CompiledProgram.expand_values` directly, so
 narrow BFS levels stay as cheap as a per-state loop.
 
-A round fans out over the persistent worker pool only when
-:func:`_round_dispatch` says so (``jobs > 1``, more than one core, at
-least :data:`SHARD_ROUND_CUTOFF` pending states).  The value rows are
-then published once through a shared-memory arena (:mod:`repro.engine.shm`)
-and each worker task is just an index array; when shared memory is
-unavailable the round runs in-process instead.  Where a row is expanded
-never changes the merge order, so the graph is the same either way — the
-bit-identity argument lives with the merge in :mod:`repro.ts.explore`.
+Every round expands in-process, whatever ``n_jobs`` says: measured on a
+2-core machine, fanning wide rounds out over the process pool was slower
+than expanding them here.  The bit-identity argument lives with the merge
+in :mod:`repro.ts.explore`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-from array import array
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
-from repro.engine import shm
-from repro.engine.parallel import _FORCE_ENV, parallel_map
 from repro.telemetry import core as telemetry
-
-#: Rounds with fewer pending states than this are expanded in-process: the
-#: per-round pool round-trip costs more than expanding a narrow BFS level
-#: locally.  ``REPRO_FORCE_PARALLEL=1`` overrides, so tests can push
-#: single-state rounds through the pool.
-SHARD_ROUND_CUTOFF = 2048
-
-#: Worker-process cache of unpickled value planes, keyed by spec digest.
-#: Workers are long-lived (the pool persists), so a multi-round
-#: exploration — or a sequence of explorations of the same program —
-#: unpickles the plane once.
-_WORKER_SYSTEMS: Dict[str, object] = {}
-
-
-def _shard_system(digest: str, spec: bytes):
-    system = _WORKER_SYSTEMS.get(digest)
-    if system is None:
-        system = pickle.loads(spec)
-        _WORKER_SYSTEMS[digest] = system
-    return system
-
-
-def _round_dispatch(jobs: int, pending_count: int) -> Tuple[int, str]:
-    """Adaptive per-round dispatch (mirrors :func:`effective_jobs`).
-
-    Narrow BFS levels, single-core machines and serial requests stay
-    in-process — the "``--jobs N`` never loses" guarantee applies per
-    round, since level widths vary wildly within one exploration.
-    Returns ``(workers, reason)``; the reason labels the telemetry
-    counter recording why a round stayed in-process.
-    """
-    if jobs <= 1 or pending_count == 0:
-        return 1, "serial_request"
-    if os.environ.get(_FORCE_ENV) == "1":
-        return jobs, "forced"
-    if (os.cpu_count() or 1) <= 1:
-        return 1, "single_core"
-    if pending_count < SHARD_ROUND_CUTOFF:
-        return 1, "narrow_round"
-    return jobs, "parallel"
 
 
 class ValuePlaneStep:
     """The expand step of a value-plane program: keys are value rows.
 
     Built by :meth:`prepare`; :func:`repro.ts.explore.explore` calls
-    :meth:`dispatch` and :meth:`expand` once per round and :meth:`close`
-    when the exploration ends, however it ends (the shared-memory arena
-    dies with the exploration).
+    :meth:`expand` once per round.
     """
 
     name = "values"
     keys_are_states = False
 
-    __slots__ = (
-        "plane",
-        "jobs",
-        "make_state",
-        "enabled",
-        "_expand_one",
-        "_spec",
-        "_arena",
-        "_values",
-    )
+    __slots__ = ("plane", "make_state", "enabled", "_expand_one")
 
-    def __init__(self, system, plane, jobs: int) -> None:
+    def __init__(self, system, plane) -> None:
         self.plane = plane
-        self.jobs = jobs
         self.make_state = plane.make_state
         self.enabled = system.enabled
         self._expand_one = plane.expand_values
-        #: ``(digest, pickled plane)`` once a round first fans out;
-        #: ``False`` once the pool path proved unusable here.
-        self._spec = None
-        self._arena: Optional[shm.ShmArena] = None
-        #: Flat mirror of every interned row, published to the arena.
-        self._values = array("q")
 
     @classmethod
-    def prepare(cls, system, plane, jobs: int) -> Optional["ValuePlaneStep"]:
+    def prepare(cls, system, plane) -> Optional["ValuePlaneStep"]:
         """The step, or ``None`` when the plane cannot carry ``system``:
         its command indices must be the system's label-table ids, and the
         initial states must be canonical rows of the plane."""
@@ -121,7 +54,7 @@ class ValuePlaneStep:
         for state in system.initial_states():
             if getattr(state, "names", None) != names:
                 return None
-        return cls(system, plane, jobs)
+        return cls(system, plane)
 
     @staticmethod
     def key_of(state) -> tuple:
@@ -132,32 +65,7 @@ class ValuePlaneStep:
         """Command id → label id: the identity (checked in :meth:`prepare`)."""
         return list(range(len(label_ids)))
 
-    def dispatch(self, pending_count: int) -> Tuple[int, str]:
-        """``(workers, reason)`` for a round of ``pending_count`` rows."""
-        workers, reason = _round_dispatch(self.jobs, pending_count)
-        if workers > 1 and not self._fan_out_ready():
-            return 1, "shm_unavailable"
-        return workers, reason
-
-    def _fan_out_ready(self) -> bool:
-        if self._spec is None:
-            spec = self.plane.spec()
-            if spec is None:
-                self._spec = False
-            else:
-                digest = hashlib.sha256(spec).hexdigest()
-                try:
-                    self._arena = shm.ShmArena(digest.encode("utf-8"))
-                    self._spec = (digest, spec)
-                except shm.ShmUnavailable:
-                    # No shared memory here (platform/sandbox): every
-                    # round runs the batched kernels in-process instead.
-                    self._spec = False
-                    if telemetry.enabled():
-                        telemetry.count("shm.unavailable")
-        return bool(self._spec)
-
-    def expand(self, states, pending, workers: int, want_masks: bool, index):
+    def expand(self, states, pending, want_masks: bool, index):
         """``(results, row_masks)`` for one round, in pending order.
 
         ``results[p]`` is ``(enabled mask, [(command id, successor row)])``
@@ -166,35 +74,17 @@ class ValuePlaneStep:
         (a streaming verifier primes itself from them), else ``None``.
         """
         rows = [states[i].values for i in pending]
-        if workers > 1:
-            values = self._values
-            width = self.plane.width
-            for state in states[len(values) // width:]:
-                values.extend(state.values)
-            digest, spec = self._spec
-            results, row_masks = _expand_round_values_parallel(
-                digest, spec, self._arena, width, values, pending, rows,
-                workers, want_masks,
-            )
+        if len(rows) == 1:
+            results = [self._expand_one(rows[0])]
         else:
-            if len(rows) == 1:
-                results = [self._expand_one(rows[0])]
-            else:
-                if telemetry.enabled():
-                    telemetry.count("batch.calls")
-                    telemetry.count("batch.rows", len(rows))
-                results = self.plane.expand_batch(rows)
-            row_masks = (
-                _round_row_masks(self.plane, results, index)
-                if want_masks
-                else None
-            )
+            if telemetry.enabled():
+                telemetry.count("batch.calls")
+                telemetry.count("batch.rows", len(rows))
+            results = self.plane.expand_batch(rows)
+        row_masks = (
+            _round_row_masks(self.plane, results, index) if want_masks else None
+        )
         return results, row_masks
-
-    def close(self) -> None:
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
 
 
 def _round_row_masks(plane, round_results, values_index):
@@ -222,130 +112,6 @@ def _round_row_masks(plane, round_results, values_index):
     if telemetry.enabled():
         telemetry.count("stream.mask_batch_rows", len(fresh))
     return dict(zip(fresh, masks))
-
-
-def _expand_round_values_parallel(
-    digest, plane_spec, arena, width, values_col, pending, rows, workers,
-    want_masks,
-):
-    """Fan one round out over the pool through the shared-memory arena.
-
-    Publishes the value table (workers read their rows in place, by state
-    index); each task carries only its shard's index array, and results
-    come back as flat int arrays, reassembled here in pending order.
-
-    With ``want_masks`` each worker also batches guards-only enabled
-    masks for its deduplicated successor rows (the round's mask *delta*),
-    and the second return value maps row → plane mask for the merge to
-    prime a streaming verifier with.  Returns ``(results, row_masks)``
-    where ``row_masks`` is ``None`` when masks were not requested.
-    """
-    shards: List[List[int]] = [[] for _ in range(workers)]
-    for i, row in zip(pending, rows):
-        shards[hash(row) % workers].append(i)
-    occupied = [shard for shard in shards if shard]
-    if telemetry.enabled():
-        for shard in occupied:
-            telemetry.observe("shard.shard_size", len(shard))
-    arena.sync("values", values_col)
-    name, _ = arena.column("values").manifest()
-    tasks = [
-        (
-            digest,
-            plane_spec,
-            name,
-            arena.tag,
-            width,
-            array("q", shard).tobytes(),
-            want_masks,
-        )
-        for shard in occupied
-    ]
-    outs = parallel_map(_expand_shard_values, tasks, n_jobs=workers)
-
-    per_state: Dict[int, tuple] = {}
-    row_masks: Optional[Dict[tuple, int]] = {} if want_masks else None
-    for shard, (masks, counts, cmds, refs, flat, tmasks) in zip(
-        occupied, outs
-    ):
-        targets = [
-            tuple(flat[r * width:(r + 1) * width])
-            for r in range(len(flat) // width)
-        ]
-        if row_masks is not None and len(tmasks) == len(targets):
-            # Empty ``tmasks`` (worker's plane declined the batch) simply
-            # leaves that shard's rows unprimed — serial fallback covers.
-            for r, target in enumerate(targets):
-                row_masks[target] = tmasks[r]
-        base = 0
-        for offset, i in enumerate(shard):
-            count = counts[offset]
-            per_state[i] = (
-                masks[offset],
-                [
-                    (cmds[base + p], targets[refs[base + p]])
-                    for p in range(count)
-                ],
-            )
-            base += count
-    return [per_state[i] for i in pending], row_masks
-
-
-def _expand_shard_values(task):
-    """Expand one shard of a value-plane round (runs in a worker process).
-
-    ``task`` is ``(digest, plane_spec, segment, tag, width, index_bytes,
-    want_masks)``.  The worker attaches the published value column, reads
-    its rows in place, runs the batched kernels, and returns flat arrays:
-    ``(masks, post_counts, cmd_ids, target_refs, target_values,
-    target_masks)`` with targets deduplicated per shard — cheap to
-    pickle, decoded by the coordinator in merge order.
-    ``target_masks`` carries one guards-only enabled mask per
-    deduplicated target when the round wants mask deltas (and the plane
-    can batch them); otherwise it is empty.
-    """
-    digest, plane_spec, segment, tag, width, index_bytes, want_masks = task
-    plane = _shard_system(digest, plane_spec)
-    indices = array("q")
-    indices.frombytes(index_bytes)
-    needed = (max(indices) + 1) * width if len(indices) else 0
-    view = shm.attach_column(segment, tag, needed)
-    base = shm.HEADER_WORDS
-    rows = [
-        tuple(view[base + i * width: base + (i + 1) * width])
-        for i in indices
-    ]
-    telemetry.count("batch.calls")
-    telemetry.count("batch.rows", len(rows))
-    expansions = plane.expand_batch(rows)
-
-    masks = array("Q", bytes(8 * len(rows)))
-    counts = array("q", bytes(8 * len(rows)))
-    cmds = array("q")
-    refs = array("q")
-    flat = array("q")
-    ref_of: Dict[tuple, int] = {}
-    for offset, (mask, posts) in enumerate(expansions):
-        masks[offset] = mask
-        counts[offset] = len(posts)
-        for k, row in posts:
-            ref = ref_of.get(row)
-            if ref is None:
-                ref = len(ref_of)
-                ref_of[row] = ref
-                flat.extend(row)
-            cmds.append(k)
-            refs.append(ref)
-
-    tmasks = array("Q")
-    if want_masks and ref_of:
-        batch = getattr(plane, "enabled_batch", None)
-        target_rows = list(ref_of)  # insertion order == ref order
-        batched = batch(target_rows) if batch is not None else None
-        if batched is not None:
-            tmasks.extend(batched)
-            telemetry.count("stream.mask_batch_rows", len(target_rows))
-    return masks, counts, cmds, refs, flat, tmasks
 
 
 def graph_digest(graph) -> str:

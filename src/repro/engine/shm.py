@@ -1,13 +1,12 @@
-"""Shared-memory arena: the explorer's zero-copy data plane.
+"""Shared-memory arena: the zero-copy data plane of the verification fan-out.
 
-The sharded explorer's original wire format shipped every frontier shard as
-pickled state objects and got pickled successor batches back — per round,
-per worker.  For value-plane systems (:meth:`TransitionSystem.value_plane`)
-the whole hot table is a flat ``array('q')``: the interned state-value
-rows, plus the streamed ``src``/``cmd``/``dst`` transition columns and the
-enabled bitmasks.  This module publishes those columns as **named
-shared-memory segments** so pool workers attach once and read rows by
-index; a round's task then carries only the pending index array.
+The columnar verification plane
+(:func:`repro.measures.verification._check_measure_plane`) checks a graph
+whose hot tables are flat int arrays: the encoded stack columns, the
+``src``/``cmd``/``dst`` transition columns and the enabled bitmasks.
+This module publishes those columns as **named shared-memory segments**
+so pool workers attach once and read them in place; a worker's task then
+carries only the column manifest and an edge range.
 
 Layout of one segment (all little-endian int64 words)::
 
@@ -26,8 +25,8 @@ in the round manifest and remap.
 
 Lifecycle guarantees (the leak contract, enforced by tests and CI):
 
-* the owning coordinator unlinks every segment in a ``finally`` around the
-  round loop — normal exit and exceptions both reclaim;
+* the owning process unlinks every segment in a ``finally`` around the
+  fan-out — normal exit and exceptions both reclaim;
 * a module ``atexit`` hook unlinks any arena still alive at interpreter
   shutdown (belt and braces for callers that leak the object);
 * if the coordinator dies hard (SIGKILL), the stdlib resource tracker it
@@ -121,7 +120,7 @@ class ShmColumn:
         if self._mv is not None:
             # Growth: copy the already-published payload into the new
             # segment, then retire the old one.  Nothing reads the old
-            # segment concurrently — syncs happen between rounds — and
+            # segment concurrently — syncs happen before the fan-out — and
             # even a worker still mapping it keeps a valid (stale) view
             # until it remaps; unlink only drops the name.
             old_mv, old_segment = self._mv, self.segment
@@ -168,7 +167,7 @@ class ShmColumn:
         return len(payload)
 
     def manifest(self) -> Tuple[str, int]:
-        """``(segment_name, published_length)`` for round tasks."""
+        """``(segment_name, published_length)`` for worker tasks."""
         return self.segment.name, self.length
 
     def close(self, unlink: bool = True) -> None:
@@ -379,7 +378,7 @@ def detach_all() -> None:
 
     Runs at interpreter exit (releasing the exported memoryviews before
     ``SharedMemory.__del__`` would trip over them) and is callable from
-    tests; harmless between explorations — the next attach re-maps.
+    tests; harmless between fan-outs — the next attach re-maps.
     """
     for _, segment, view in _ATTACHED.values():
         view.release()

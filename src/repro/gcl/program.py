@@ -52,9 +52,7 @@ class ProgramValuePlane:
     names fixed by the program, so a state round-trips through its bare
     value tuple (``state.values`` one way, :meth:`make_state` the other).  Exploration interns those tuples and calls
     :meth:`expand_batch` on whole BFS rounds — one batched guard kernel
-    per guard per round instead of one closure call per guard per state —
-    publishing them over shared memory when a wide round fans out to pool
-    workers.
+    per guard per round instead of one closure call per guard per state.
 
     Command indices in the batch results are positions in :attr:`labels`,
     which is the program's declaration order — the same order
@@ -71,10 +69,6 @@ class ProgramValuePlane:
             command.label for command in compiled.commands
         )
         self.width = len(self.names)
-
-    def __reduce__(self):
-        # Travels as the AST (CompiledProgram recompiles on arrival).
-        return (ProgramValuePlane, (self._compiled,))
 
     def make_state(self, values: Values) -> ProgramState:
         """The canonical state of a flat row."""
@@ -95,21 +89,12 @@ class ProgramValuePlane:
 
         The streaming checker's per-round enabled-mask deltas: the
         explorer batches the masks of freshly discovered successors here
-        (workers do it shard-side over shm) so the verifier never has to
-        re-derive enabledness one state at a time.  A ``None`` simply
+        so the verifier never has to re-derive enabledness one state at a
+        time.  A ``None`` simply
         skips the priming — the serial fallback recomputes, and any guard
         error keeps its serial-path surfacing point.
         """
         return self._compiled.enabled_masks_batch(rows)
-
-    def spec(self) -> Optional[bytes]:
-        """Pickled self for shipping to pool workers (``None`` if stuck)."""
-        import pickle
-
-        try:
-            return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return None
 
 
 class Program(TransitionSystem):
@@ -163,7 +148,7 @@ class Program(TransitionSystem):
         ``None`` for interpreted programs (no closures to batch), for
         programs without variables (no rows to pack) and for programs
         with more than 64 commands (enabled masks must fit one machine
-        word on the shared-memory plane) — those are explored one state
+        word) — those are explored one state
         at a time through :meth:`expand`.
         """
         if (

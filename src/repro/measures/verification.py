@@ -288,17 +288,14 @@ class ActiveWitnessData:
 _TransitionTask = Tuple[Stack, Stack, frozenset, frozenset]
 
 
-def _check_chunk(
-    payload: Tuple[Sequence[_TransitionTask], WellFoundedOrder],
+def _check_tasks(
+    tasks: Sequence[_TransitionTask], order: WellFoundedOrder
 ):
-    """Worker: run the level search over one chunk of transitions.
+    """Run the level search over every transition task, in order.
 
     Returns, per transition, either ``ActiveWitnessData`` or the failure
-    tuple — plain data the parent reattaches to its transitions.  Module
-    level (and closure-free) so the process pool can pickle it; also the
-    serial path, so both paths run literally the same code.
+    tuple — plain data the caller reattaches to its transitions.
     """
-    tasks, order = payload
     results = []
     traced = telemetry.enabled()
     for source_stack, target_stack, invalidated, active_subjects in tasks:
@@ -315,9 +312,7 @@ def _count_outcome(data, failures) -> None:
     """Registry counters for one level search (telemetry enabled only).
 
     ``verify.active.*`` records how (V_A) was discharged; failed levels
-    are attributed to the condition that rejected them.  Counted inside
-    the chunk engine — the same code is the serial path and the pool
-    worker, so parent totals are exact for any job count.
+    are attributed to the condition that rejected them.
     """
     telemetry.count("verify.transitions")
     if data is not None:
@@ -634,12 +629,14 @@ def check_measure(
     service in either endpoint, and invalidated when the transition fulfils
     it.  Omitted, hypotheses name commands (the paper's strong fairness).
 
-    ``n_jobs`` fans the per-transition checks out over a process pool
-    (``repro.engine.parallel``): transitions are split into contiguous
-    chunks and the per-chunk results concatenated in order, so witnesses
-    and violations — contents *and* order — are identical to the serial
-    run.  ``None``/``0``/``1`` stay serial; pool failures fall back to
-    serial.
+    ``n_jobs`` fans the columnar verification plane out over a process
+    pool (``repro.engine.parallel``): transitions are split into
+    contiguous chunks and the per-chunk results concatenated in order, so
+    witnesses and violations — contents *and* order — are identical to
+    the serial run.  Checks the plane cannot encode (generalized
+    ``requirements``, among others) run the per-transition tuple engine
+    in-process, whatever ``n_jobs`` says.  ``None``/``0``/``1`` stay
+    serial; pool failures fall back to serial.
     """
     with telemetry.span(
         "verify", transitions=len(graph.transitions), jobs=n_jobs
@@ -711,10 +708,9 @@ def _check_measure_inner(
                     graph, stacks, columns, order, keep_witnesses, jobs
                 )
 
-    # Per-transition inputs, precomputed in the parent so workers never see
-    # the (closure-laden, unpicklable) assignment or requirement objects.
-    # Enabled-union frozensets are shared via the mask cache; the
-    # invalidated singleton per command is interned in the command table.
+    # Per-transition inputs.  Enabled-union frozensets are shared via the
+    # mask cache; the invalidated singleton per command is interned in the
+    # command table.
     tasks: List[_TransitionTask] = []
     if requirements is None:
         for eid in range(len(transitions)):
@@ -752,20 +748,7 @@ def _check_measure_inner(
                 )
             )
 
-    # Adaptive dispatch: one work unit per transition (``jobs`` was
-    # resolved above, before the columnar branch).  Small graphs are
-    # demoted to serial so ``--jobs N`` never pays pool overhead it cannot
-    # amortise (REPRO_FORCE_PARALLEL=1 overrides, for pool smoke tests).
-    if jobs <= 1:
-        outcomes = _check_chunk((tasks, order))
-    else:
-        chunks = chunk_items(tasks, jobs)
-        payloads = [(chunk, order) for chunk in chunks]
-        outcomes = [
-            outcome
-            for chunk_result in parallel_map(_check_chunk, payloads, n_jobs=jobs)
-            for outcome in chunk_result
-        ]
+    outcomes = _check_tasks(tasks, order)
 
     witnesses: List[ActiveWitness] = []
     violations: List[TransitionViolation] = []
@@ -1022,11 +1005,10 @@ def check_measure_streaming(
     soon as ``k`` violations are found, and the violation list is the
     first ``k`` of the materialized run.
 
-    ``n_jobs`` shards the *exploration* (the VC checks run serially in
-    the coordinator as each state closes); the result is identical for
-    any job count.  Pass ``keep_witnesses=False`` for O(states) memory —
-    the default keeps per-transition witnesses like the materialized
-    checker does.
+    ``n_jobs`` is accepted and has no effect: exploration and the VC
+    checks both run in-process, the checks as each state closes.  Pass
+    ``keep_witnesses=False`` for O(states) memory — the default keeps
+    per-transition witnesses like the materialized checker does.
     """
     with telemetry.span(
         "verify", streaming=True, jobs=n_jobs, max_violations=max_violations

@@ -1,7 +1,7 @@
 """Engine telemetry: structured tracing, counters and live progress.
 
-Zero-dependency observability for the whole pipeline — exploration
-(serial and sharded), the persistent worker pool, the disk cache,
+Zero-dependency observability for the whole pipeline — exploration,
+the persistent worker pool, the disk cache,
 measure verification and synthesis all report into one process-wide
 registry and one span forest.  Disabled (the default) every
 instrumentation site is a single flag check and :func:`span` returns a
@@ -13,7 +13,7 @@ Typical use::
     from repro import telemetry
 
     telemetry.enable()
-    graph = explore(program, n_jobs=4)
+    graph = explore(program)
     check_measure(graph, assignment, n_jobs=4)
     print(telemetry.render_trace())          # the --trace tree
     telemetry.write_metrics("metrics.json")  # the --metrics-out export

@@ -1,6 +1,6 @@
 """Spans, counters, gauges and histograms — the engine's nervous system.
 
-The engine (exploration, sharding, the worker pool, the disk cache,
+The engine (exploration, the worker pool, the disk cache,
 verification, synthesis) is instrumented at *phase boundaries*: every
 instrumentation site is a module-level flag check followed, only when
 telemetry is enabled, by a dict update or a span push.  Disabled — the

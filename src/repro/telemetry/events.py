@@ -4,10 +4,9 @@ Everything long-running in the engine reports *events* here — small,
 schema-versioned dicts with a monotonic sequence number and both a wall
 and a monotonic timestamp::
 
-    {"v": 1, "seq": 17, "ts": 1754650000.123, "mono": 81.44,
+    {"v": 2, "seq": 17, "ts": 1754650000.123, "mono": 81.44,
      "event": "explore.round",
-     "data": {"round": 12, "pending": 4096, "states": 131072,
-              "workers": 4, "dispatch": "sharded"}}
+     "data": {"round": 12, "pending": 4096, "states": 131072}}
 
 The bus is *typed*: every event name must come from :data:`CATALOGUE`
 (documented in ``docs/METHOD.md`` §13); :func:`emit` rejects unknown
@@ -52,7 +51,9 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 #: Bumped when the event envelope (the ``v/seq/ts/mono/event/data`` frame)
 #: or the meaning of an existing event changes; consumers key on it.
-EVENT_VERSION = 1
+#: Version 2 dropped ``workers`` and ``dispatch`` from ``explore.round``
+#: (exploration no longer fans out, so they could only read 1/serial).
+EVENT_VERSION = 2
 
 #: Default flight-recorder capacity (events).
 DEFAULT_RING_CAPACITY = 1024
@@ -105,8 +106,8 @@ EXPLORE_PROGRESS = EventKind(
 )
 EXPLORE_ROUND = EventKind(
     "explore.round",
-    "One BFS round dispatched (throttled): round depth, pending sources, "
-    "states so far, worker count and the dispatch decision.",
+    "One BFS round started (throttled): round depth, pending sources, "
+    "states so far.",
 )
 EXPLORE_SUMMARY = EventKind(
     "explore.summary",
@@ -332,8 +333,6 @@ class RoundTicker:
         round_depth: int,
         pending: int,
         states: int,
-        workers: int,
-        dispatch: str,
     ) -> None:
         now = time.monotonic()
         if self._last is not None and now - self._last < ROUND_INTERVAL_S:
@@ -344,8 +343,6 @@ class RoundTicker:
             round=round_depth,
             pending=pending,
             states=states,
-            workers=workers,
-            dispatch=dispatch,
         )
 
 

@@ -133,10 +133,10 @@ def validate_snapshot(payload: Any) -> Dict[str, Any]:
 
 # -- events ---------------------------------------------------------------
 #
-# The event envelope (version 1) — one NDJSON line of ``--events-out``,
+# The event envelope (version 2) — one NDJSON line of ``--events-out``,
 # one entry of the flight recorder, one line of ``GET /events``::
 #
-#     {"v": 1, "seq": 17, "ts": 1754650000.1, "mono": 81.44,
+#     {"v": 2, "seq": 17, "ts": 1754650000.1, "mono": 81.44,
 #      "event": "explore.round", "data": {...}}
 #
 # ``event`` must name a catalogue entry (``repro.telemetry.events``,

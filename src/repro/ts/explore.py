@@ -21,10 +21,9 @@ with the cached engine analyses (:attr:`ReachableGraph.analyses`).
 Every exploration runs one level-synchronous BFS (:func:`_explore_rounds`):
 each round hands its pending states to an *expand step* chosen once from
 the system — batched value-plane kernels for compiled programs
-(:mod:`repro.engine.shard`, which also fans wide rounds out over the
-worker pool when ``n_jobs > 1``), per-state ``expand`` for everything
-else — and one merge interns the results in FIFO order.  The graph is
-bit-identical whichever step ran and whatever the job count.
+(:mod:`repro.engine.shard`), per-state ``expand`` for everything else —
+and one merge interns the results in FIFO order.  Every round runs
+in-process; the graph is bit-identical whichever step ran.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class StopExploration(Exception):
     flight (it becomes frontier, so its partially-observed transitions are
     dropped exactly like a budget-truncated source) and returns the graph
     built so far.  The signal also ends the round loop, so no further
-    round is expanded or dispatched to the worker pool.
+    round is expanded.
     Stopping never sets the ``strict`` truncation flag — it is a consumer
     verdict, not a bound.
     """
@@ -76,8 +75,7 @@ class ExplorationObserver:
       them (they are dropped from the graph too).
 
     Any callback may raise :class:`StopExploration` to end exploration
-    early.  Observer callbacks run in the coordinator process only — they
-    never ship to pool workers.
+    early.
     """
 
     __slots__ = ()
@@ -583,11 +581,9 @@ def explore(
         If true, raise :class:`ExplorationLimitError` when a bound truncates
         exploration instead of returning an incomplete graph.
     n_jobs:
-        Worker processes for wide BFS rounds (``-1`` for all cores).  Only
-        value-plane programs fan out, and only rounds with at least
-        :data:`~repro.engine.shard.SHARD_ROUND_CUTOFF` pending states on a
-        machine with more than one core; every other round expands
-        in-process.  The graph is bit-identical for every job count.
+        Accepted for interface compatibility and ignored: exploration
+        always runs in-process (only the columnar verification plane of
+        :func:`~repro.measures.verification.check_measure` fans out).
     observer:
         An :class:`ExplorationObserver` receiving streaming callbacks on
         state discovery, transition emission and state completion, with
@@ -597,8 +593,8 @@ def explore(
     system.validate_commands()
     if not telemetry.enabled():
         graph = _explore_rounds(
-            system, _expand_step(system, n_jobs), max_states, max_depth,
-            strict, observer,
+            system, _expand_step(system), max_states, max_depth, strict,
+            observer,
         )
         _emit_explore_summary(system, graph)
         return graph
@@ -608,7 +604,7 @@ def explore(
     # delta this exploration contributed.
     cache_stats = getattr(system, "successor_cache_stats", None)
     before = cache_stats() if cache_stats is not None else None
-    step = _expand_step(system, n_jobs)
+    step = _expand_step(system)
     with telemetry.span(
         "explore",
         system=getattr(system, "name", type(system).__name__),
@@ -678,7 +674,6 @@ class StateStep:
 
     name = "states"
     keys_are_states = True
-    jobs = 1
 
     __slots__ = ("_expand", "enabled", "_label_ids")
 
@@ -698,7 +693,7 @@ class StateStep:
         self._label_ids = label_ids
         return label_ids
 
-    def expand(self, states, pending, workers, want_masks, index):
+    def expand(self, states, pending, want_masks, index):
         expand = self._expand
         label_ids = self._label_ids
         results = []
@@ -710,19 +705,15 @@ class StateStep:
             results.append((mask, posts))
         return results, None
 
-    def close(self) -> None:
-        pass
 
-
-def _expand_step(system: TransitionSystem, n_jobs: int | None):
+def _expand_step(system: TransitionSystem):
     """The expand step for ``system``, chosen once per exploration: the
     batched value plane when the system has one, else :class:`StateStep`."""
     plane = system.value_plane()
     if plane is not None:
-        from repro.engine.parallel import resolve_jobs
         from repro.engine.shard import ValuePlaneStep
 
-        step = ValuePlaneStep.prepare(system, plane, resolve_jobs(n_jobs))
+        step = ValuePlaneStep.prepare(system, plane)
         if step is not None:
             return step
     return StateStep(system.expand, system.enabled)
@@ -753,7 +744,7 @@ def _explore_rounds(
     exploration factors into
 
     1. computing ``(enabled, posts)`` for every state of the round — the
-       *expand step*, free to batch or fan out however it likes — and
+       *expand step*, free to batch however it likes — and
     2. the merge below, which interns successors, assigns indices,
        records transitions and applies ``max_states``/``max_depth``/
        ``strict`` accounting **in pending order, posts order** — exactly
@@ -761,7 +752,7 @@ def _explore_rounds(
 
     State indices, transition order, enabled masks, frontier sets,
     observer events and :class:`ExplorationLimitError` messages are
-    therefore the same for every step and every job count;
+    therefore the same for every step;
     ``tests/engine/test_explore_paths.py`` checks them against the FIFO
     loop kept in :func:`repro.engine.reference.explore_reference`.
 
@@ -832,11 +823,6 @@ def _explore_rounds(
         prime = getattr(observer, "prime_enabled", None)
     want_masks = prime is not None
 
-    # Serial requests (and every state step) never fan out: skip the
-    # per-round dispatch decision, which narrow-round chains would pay
-    # once per state.
-    dispatch_round = step.dispatch if step.jobs > 1 else None
-    workers, dispatch = 1, "serial_request"
     tick = round_events.tick
     expand_round = step.expand
 
@@ -855,33 +841,23 @@ def _explore_rounds(
                 frontier.update(pending)
                 truncated = True
                 break
-            if dispatch_round is not None:
-                workers, dispatch = dispatch_round(len(pending))
             if traced:
                 telemetry.count("shard.rounds")
                 telemetry.count(f"shard.{step.name}_rounds")
-                telemetry.count(
-                    "shard.parallel_rounds" if workers > 1 else "shard.serial_rounds"
-                )
-                if workers <= 1:
-                    telemetry.count(f"shard.serial_round.{dispatch}")
                 telemetry.observe("shard.round_pending", len(pending))
             if progress is not None:
                 progress.maybe(len(states), len(pending), round_depth)
-            tick(round_depth, len(pending), len(states), workers, dispatch)
+            tick(round_depth, len(pending), len(states))
             round_span = (
                 telemetry.span(
-                    "shard_round",
-                    round=round_depth,
-                    pending=len(pending),
-                    workers=workers,
+                    "shard_round", round=round_depth, pending=len(pending)
                 )
                 if traced
                 else telemetry.NOOP_SPAN
             )
             with round_span:
                 results, row_masks = expand_round(
-                    states, pending, workers, want_masks, index
+                    states, pending, want_masks, index
                 )
                 if traced:
                     telemetry.count("shard.states_expanded", len(pending))
@@ -956,8 +932,6 @@ def _explore_rounds(
         if i >= 0 and i != finalized and expanded[i]:
             expanded[i] = 0
         _stop_counters(len(states))
-    finally:
-        step.close()
 
     if progress is not None:
         progress.close()

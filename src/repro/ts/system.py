@@ -99,8 +99,7 @@ class TransitionSystem(ABC):
         A *value plane* (:class:`repro.gcl.program.ProgramValuePlane` is
         the canonical one) exposes the system's states as flat int64
         tuples with batched expansion, which lets exploration evaluate
-        guards once per BFS round instead of once per state (and move
-        wide rounds to pool workers over shared memory).  Systems without
+        guards once per BFS round instead of once per state.  Systems without
         a natural flat encoding simply return ``None`` and are expanded
         one state at a time; results are bit-identical either way.
         """

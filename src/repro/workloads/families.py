@@ -363,11 +363,10 @@ def large_scaling_suite(scale: str = "full") -> List[Tuple[str, object]]:
     """Million-state ``(name, factory)`` workloads for exploration scaling.
 
     Scaled-up grid/chain/distributed shapes (≥ 10^6 states each at
-    ``"full"``) for the sharded-exploration experiments
-    (:mod:`benchmarks.bench_e15_sharded_explore`); ``"smoke"`` substitutes
-    instances in the hundreds of states that walk the same code paths.
-    The hypercube is listed first — it is the largest-frontier family and
-    the one the E15 acceptance gates are phrased over.
+    ``"full"``) for the exploration-scaling experiments; ``"smoke"``
+    substitutes instances in the hundreds of states that walk the same
+    code paths.  The hypercube is listed first — it is the
+    largest-frontier family.
     """
     if scale == "smoke":
         return [

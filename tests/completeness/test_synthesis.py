@@ -135,3 +135,48 @@ class TestRandomisedRoundTrip:
             return
         synthesis = synthesize_measure(graph)
         assert synthesis.max_stack_height() <= 5
+
+
+class TestSharedTarjanScratch:
+    """Every region's sub-SCC pass reuses the graph's one Tarjan scratch.
+    A fresh scratch per region costs O(states) to allocate, which made
+    synthesis O(states × regions)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from repro.engine import analysis
+
+        scratches = []
+        original = analysis.TarjanScratch.__init__
+
+        def counting_init(scratch):
+            scratches.append(scratch)
+            original(scratch)
+
+        monkeypatch.setattr(analysis.TarjanScratch, "__init__", counting_init)
+        return scratches
+
+    def test_synthesis_builds_one_scratch(self, built):
+        from repro.engine.reference import synthesize_measure_reference
+
+        graph = explore(counter_grid(20, 20))
+        result = synthesize_measure(graph)
+        assert len(built) == 1
+        assert result.region_count() == 440
+        reference = synthesize_measure_reference(graph)
+        assert result.stacks == reference.stacks
+        assert result.regions == reference.regions
+
+    def test_process_regions_builds_one_scratch(self, built):
+        from repro.completeness.synthesis import process_regions
+        from repro.fairness.generalized import command_requirements
+        from repro.ts.graph import decompose
+
+        graph = explore(counter_grid(6, 6))
+        components = decompose(graph).components
+        entries = {index: [] for index in range(len(graph))}
+        regions = process_regions(
+            graph, components, command_requirements(graph.system), entries
+        )
+        assert len(built) == 1
+        assert regions == synthesize_measure(graph).regions

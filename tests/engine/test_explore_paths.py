@@ -1,15 +1,14 @@
 """One exploration loop, one graph: the differential table (DESIGN §6d).
 
-Every exploration runs the same round-based BFS; only its expand step
-varies (batched value-plane kernels, per-state ``expand``, the graph
-store's replaying expander) and, for wide value-plane rounds, where the
-expansion runs (in-process or on pool workers over shared memory).  Each
-row below explores one system under one bound with one job count and
-asserts that the result has exactly one ``graph_digest`` — the digest of
+Every exploration runs the same round-based BFS, in-process; only its
+expand step varies (batched value-plane kernels, per-state ``expand``,
+the graph store's replaying expander).  Each row below explores one
+system under one bound with one job count and asserts that the result
+has exactly one ``graph_digest`` — the digest of
 :func:`~repro.engine.reference.explore_reference`, the per-state FIFO
-loop the round-based explorer replaced.  ``n_jobs=2`` rows force the
-pool on (``REPRO_FORCE_PARALLEL=1``) so every round of a value-plane
-program really crosses the shared-memory wire, even on one core.
+loop the round-based explorer replaced.  ``n_jobs=2`` rows (with
+``REPRO_FORCE_PARALLEL=1``, which forces the pool wherever one is used)
+check that a job count is accepted and leaves the digest unchanged.
 
 ``StopExploration`` rows have no reference (the reference has no
 observer): there the stopped graph must digest the same at every job
@@ -106,7 +105,7 @@ JOBS = (None, 2)
 
 @pytest.fixture
 def jobs_env(request, monkeypatch):
-    """``n_jobs=2`` rows force every round through the pool."""
+    """``n_jobs=2`` rows: a forced job count must change nothing."""
     if request.param is not None:
         monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
     return request.param

@@ -1,43 +1,15 @@
-"""Unit tests for the engine primitives: interner, packed arrays, chunking."""
+"""Unit tests for the engine primitives: packed arrays, chunking."""
 
 import pytest
 
 from repro.engine import (
     CommandTable,
     PackedGraph,
-    StateInterner,
     chunk_items,
     parallel_map,
     resolve_jobs,
     tarjan_scc_csr,
 )
-
-
-class TestStateInterner:
-    def test_first_intern_is_fresh(self):
-        interner = StateInterner()
-        index, fresh = interner.intern(("a", 1))
-        assert index == 0 and fresh
-
-    def test_reintern_returns_same_index(self):
-        interner = StateInterner()
-        first, _ = interner.intern(("a", 1))
-        interner.intern(("b", 2))
-        again, fresh = interner.intern(("a", 1))
-        assert again == first and not fresh
-
-    def test_indices_are_discovery_order(self):
-        interner = StateInterner()
-        for expected, state in enumerate(["x", "y", "z"]):
-            index, fresh = interner.intern(state)
-            assert index == expected and fresh
-        assert list(interner.states) == ["x", "y", "z"]
-
-    def test_lookup(self):
-        interner = StateInterner()
-        interner.intern("x")
-        assert interner.lookup("x") == 0
-        assert interner.lookup("missing") is None
 
 
 class TestCommandTable:

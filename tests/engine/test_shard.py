@@ -1,13 +1,12 @@
-"""Differential tests for pool fan-out of exploration rounds (DESIGN §6d).
+"""``n_jobs`` on exploration is accepted and changes nothing (DESIGN §6d).
 
-The whole point of fanning rounds out is that it is *invisible*: for
-every workload family, every job count and every truncation mode, the
-graph must be bit-identical to an in-process exploration's — same state
-interning order, same transition order, same enabled sets, same
-frontier, same strict-mode error message.  These tests force the pool on
-(``REPRO_FORCE_PARALLEL=1``) so the shared-memory path actually runs
-even on single-core CI machines and below the per-round cutoff.  The
-full differential table against the FIFO reference loop lives in
+Exploration always runs in-process; a job count (even with
+``REPRO_FORCE_PARALLEL=1``, which forces the pool elsewhere) must leave
+the graph bit-identical for every workload family and every truncation
+mode — same state interning order, same transition order, same enabled
+sets, same frontier, same strict-mode error message.  Also covers the
+canonical :func:`graph_digest` and program pickling.  The full
+differential table against the FIFO reference loop lives in
 ``test_explore_paths.py``.
 """
 
@@ -16,7 +15,7 @@ import pickle
 import pytest
 
 from repro.engine.reference import explore_reference
-from repro.engine.shard import SHARD_ROUND_CUTOFF, _round_dispatch, graph_digest
+from repro.engine.shard import graph_digest
 from repro.gcl.compile import CompiledProgram
 from repro.ts import ExplorationLimitError, explore
 from repro.ts.system import TransitionSystem
@@ -56,7 +55,7 @@ def _fingerprint(graph):
 
 
 class TestDifferentialComplete:
-    """Unbounded exploration: sharded == serial on every family."""
+    """Unbounded exploration: any job count == serial on every family."""
 
     @pytest.mark.parametrize("name,make", _families())
     def test_bit_identical_graphs(self, force_parallel, name, make):
@@ -147,7 +146,7 @@ class TestFallbacks:
 
 
 class TestPicklability:
-    """Workers rebuild value planes from their pickles; the pieces must ship."""
+    """Programs pickle as their syntax tree and recompile on arrival."""
 
     def test_program_pickle_roundtrip(self):
         program = counter_grid(2, 4)
@@ -161,28 +160,6 @@ class TestPicklability:
         assert isinstance(compiled, CompiledProgram)
         clone = pickle.loads(pickle.dumps(compiled))
         assert clone.by_label.keys() == compiled.by_label.keys()
-
-
-class TestRoundDispatch:
-    def test_serial_requests_stay_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-        assert _round_dispatch(1, 10**6) == (1, "serial_request")
-        assert _round_dispatch(0, 10**6) == (1, "serial_request")
-        assert _round_dispatch(4, 0) == (1, "serial_request")
-
-    def test_narrow_rounds_are_demoted(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        assert _round_dispatch(4, SHARD_ROUND_CUTOFF - 1) == (1, "narrow_round")
-        assert _round_dispatch(4, SHARD_ROUND_CUTOFF) == (4, "parallel")
-
-    def test_single_core_demotes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
-        assert _round_dispatch(4, SHARD_ROUND_CUTOFF * 10) == (1, "single_core")
-
-    def test_force_env_overrides(self, force_parallel):
-        assert _round_dispatch(4, 1) == (4, "forced")
 
 
 class TestGraphDigest:
@@ -203,19 +180,19 @@ class TestGraphDigest:
 
 
 class TestValuePlaneWireFormats:
-    """Value-plane programs ship flat int64 rows to pool workers over
-    shared memory (DESIGN §6f).  Three paths remain — the FIFO reference
-    loop, in-process rounds and shared-memory rounds — and they must stay
-    fingerprint-identical, including under truncation."""
+    """Value-plane programs expand flat int64 rows in batched rounds.  The
+    FIFO reference loop, a default exploration and a forced ``n_jobs=2``
+    request must stay fingerprint-identical, including under truncation,
+    and exploration must publish no shared memory."""
 
     @pytest.mark.parametrize("name,make", _families())
     def test_three_paths_identical(self, force_parallel, monkeypatch, name, make):
-        shm_path = _fingerprint(explore(make(), n_jobs=2))
+        jobs_two = _fingerprint(explore(make(), n_jobs=2))
         monkeypatch.delenv("REPRO_FORCE_PARALLEL")
         in_process = _fingerprint(explore(make()))
         reference = _fingerprint(explore_reference(make()))
         assert in_process == reference, f"{name}: in-process rounds differ"
-        assert shm_path == reference, f"{name}: shm wire format differs"
+        assert jobs_two == reference, f"{name}: n_jobs=2 differs"
 
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     def test_bounded_value_plane_identical(self, force_parallel, jobs):
@@ -232,8 +209,7 @@ class TestValuePlaneWireFormats:
         assert str(plane_error.value) == str(serial_error.value)
 
     def test_plane_takes_coordinator_without_force(self, monkeypatch):
-        """Without the force switch, narrow rounds stay in-process (and on
-        one core every round does) — digests must still match."""
+        """Without the force switch a job count changes nothing either."""
         monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
         serial = explore(counter_grid(6, 6))
         routed = explore(counter_grid(6, 6), n_jobs=4)

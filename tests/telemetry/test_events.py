@@ -135,14 +135,10 @@ class TestTickers:
         monkeypatch.setattr(events, "ROUND_INTERVAL_S", 3600.0)
         ticker = events.round_ticker()
         for round_depth in range(6):
-            ticker.tick(round_depth, pending=3, states=9, workers=2,
-                        dispatch="sharded")
+            ticker.tick(round_depth, pending=3, states=9)
         tail = telemetry.flight_recorder().tail()
         assert len(tail) == 1
-        assert tail[0]["data"] == {
-            "round": 0, "pending": 3, "states": 9, "workers": 2,
-            "dispatch": "sharded",
-        }
+        assert tail[0]["data"] == {"round": 0, "pending": 3, "states": 9}
 
 
 class TestValidateEvent:
@@ -206,21 +202,21 @@ class TestNdjsonSink:
     def test_appends_across_sinks(self, tmp_path):
         path = tmp_path / "events.ndjson"
         first = NdjsonEventSink(path)
-        first({"v": 1, "seq": 1, "ts": 0, "mono": 0,
+        first({"v": events.EVENT_VERSION, "seq": 1, "ts": 0, "mono": 0,
                "event": "run.start", "data": {}})
         first.close()
         second = NdjsonEventSink(path)
-        second({"v": 1, "seq": 2, "ts": 0, "mono": 0,
+        second({"v": events.EVENT_VERSION, "seq": 2, "ts": 0, "mono": 0,
                 "event": "run.end", "data": {}})
         second.close()
         assert len(validate_event_stream(path.read_text())) == 2
 
     def test_stream_validator_rejects_out_of_order_lines(self):
         lines = [
-            json.dumps({"v": 1, "seq": 5, "ts": 0, "mono": 0,
-                        "event": "run.start", "data": {}}),
-            json.dumps({"v": 1, "seq": 4, "ts": 0, "mono": 0,
-                        "event": "run.end", "data": {}}),
+            json.dumps({"v": events.EVENT_VERSION, "seq": 5, "ts": 0,
+                        "mono": 0, "event": "run.start", "data": {}}),
+            json.dumps({"v": events.EVENT_VERSION, "seq": 4, "ts": 0,
+                        "mono": 0, "event": "run.end", "data": {}}),
         ]
         with pytest.raises(EventSchemaError, match="increase"):
             validate_event_stream("\n".join(lines))
@@ -256,7 +252,9 @@ class TestEngineEmission:
         states = [e["data"]["states"] for e in rounds]
         assert states == sorted(states)
         assert states[-1] <= len(graph)
-        assert {e["data"]["workers"] for e in rounds} == {1}
+        assert {frozenset(e["data"]) for e in rounds} == {
+            frozenset({"round", "pending", "states"})
+        }
 
     def test_sharded_explore_emits_round_events(self, monkeypatch):
         monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
@@ -270,7 +268,6 @@ class TestEngineEmission:
         depths = [e["data"]["round"] for e in rounds]
         assert depths == sorted(depths)
         for event in rounds:
-            assert event["data"]["dispatch"]
             validate_event(event)
 
     def test_streaming_decide_emits_stages_and_verdict(self):

@@ -2,7 +2,7 @@
 
 Collection may add wall time but never changes what the engine computes —
 the canonical :func:`~repro.engine.shard.graph_digest` must agree with
-telemetry on and off, serial and sharded.  The CLI smoke tests cover the
+telemetry on and off, at every job count.  The CLI smoke tests cover the
 ``--trace``/``--metrics-out``/``--progress`` plumbing end to end.
 """
 

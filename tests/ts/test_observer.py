@@ -158,7 +158,7 @@ class TestStopExploration:
         ] == kept
 
     def test_sharded_stop_halts_within_one_round(self, force_parallel):
-        """After the stopping round merges, no further round is dispatched:
+        """After the stopping round merges, no further round is expanded:
         BFS rounds are depth layers, so a stop raised at the discovery of a
         depth-``d`` state (during the merge of the round expanding depth
         ``d-1``) must leave every state of depth ``>= d`` unexpanded."""
@@ -210,11 +210,11 @@ class RecordingStopper(Recorder):
 
 
 class TestStopOnShmPath:
-    """Satellite of the zero-copy PR (DESIGN §6f): ``StopExploration``
-    raised mid-round on the shared-memory value-plane path must revert
-    half-expanded states to the frontier *identically* to the serial
-    explorer — same events, same graph, same frontier — and must not
-    leak a single shared-memory segment."""
+    """``StopExploration`` raised mid-round on the value-plane path with a
+    job count requested (and the pool forced) must revert half-expanded
+    states to the frontier *identically* to a default exploration — same
+    events, same graph, same frontier — and must leave no shared-memory
+    segment behind."""
 
     # Limits chosen to land the stop in the middle of a wide BFS round,
     # i.e. while its merge has finalized some of the round's sources but
