@@ -19,7 +19,7 @@ row records memory alongside time.  BENCH row schema note: the
 workers' memory counts, not just the coordinator's.  ``ru_maxrss`` is a
 *high-water mark* — monotone over the process lifetime — so within one
 bench process the column reads "peak RSS up to and including this row";
-benches that need per-configuration peaks (E17, E21) measure in fresh
+benches that need per-configuration peaks (E17) measure in fresh
 child processes instead.
 
 When telemetry is collecting (``REPRO_BENCH_TELEMETRY=1``, or a bench
@@ -68,7 +68,7 @@ def peak_rss_kb() -> Optional[int]:
     coordinator's (much smaller) footprint.  ``RUSAGE_CHILDREN`` is the
     high-water mark over *reaped* children, so it covers workers once the
     pool has been shut down; benches that measure in fresh child processes
-    (E17, E21) get the child's own self+children peak the same way.
+    (E17) get the child's own self+children peak the same way.
 
     Linux reports ``ru_maxrss`` in KiB; macOS reports bytes and is
     normalised here.  The value is a lifetime high-water mark.

@@ -10,8 +10,9 @@ Two consumers:
 
 * ``benchmarks/bench_e13_engine_scaling.py`` uses them as the "before"
   column of the speedup table;
-* ``tests/engine`` uses them as an independently-written oracle that the
-  engine fast paths must match bit-for-bit (:func:`explore_reference` is
+* ``tests/engine`` and ``tests/measures`` use them as an
+  independently-written oracle that the engine fast paths must match
+  bit-for-bit (:func:`explore_reference` is
   test-only: the FIFO loop the round-based explorer must reproduce).
 
 Do not optimise this module.
@@ -26,12 +27,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.fairness.generalized import FairnessRequirement, command_requirements
 from repro.measures.assignment import StackAssignment
 from repro.measures.hypotheses import TERMINATION, Hypothesis
-from repro.measures.stack import Stack
+from repro.measures.stack import Stack, stacks_equal_below
 from repro.measures.verification import (
     ActiveWitness,
+    ActiveWitnessData,
+    LevelFailure,
     MeasureCheckResult,
     TransitionViolation,
-    find_active_level_general,
 )
 from repro.ts.explore import (
     ExplorationLimitError,
@@ -183,6 +185,84 @@ def internal_transitions_reference(
     ]
 
 
+def find_active_level_reference(
+    source_stack: Stack,
+    target_stack: Stack,
+    invalidated: frozenset,
+    active_subjects: frozenset,
+    order,
+) -> Tuple[Optional[ActiveWitnessData], List[LevelFailure]]:
+    """Seed ``find_active_level_general``: per level, re-compares the
+    whole prefix below it and rebuilds the invalidated prefix — O(h²)
+    per transition in the stack height ``h``."""
+    failures: List[LevelFailure] = []
+    max_level = min(source_stack.height, target_stack.height)
+    for level in range(max_level):
+        before = source_stack.level(level)
+        after = target_stack.level(level)
+        if before.subject != after.subject:
+            failures.append(
+                LevelFailure(
+                    level,
+                    before.subject,
+                    f"hypothesis changes subject across the transition "
+                    f"({before.subject!r} → {after.subject!r})",
+                )
+            )
+            # Levels above sit on a changed hypothesis; (V_NoC) can no
+            # longer hold for any higher level either.
+            break
+        subject = before.subject
+        # (V_NoC): stack unchanged strictly below the active level.
+        if not stacks_equal_below(source_stack, target_stack, level):
+            failures.append(
+                LevelFailure(level, subject, "stack changes below this level (V_NoC)")
+            )
+            break
+        # (V_NonI): no hypothesis at or below the level is invalidated.
+        hit = [
+            h.subject
+            for h in source_stack.take(level + 1)
+            if h.subject in invalidated
+        ]
+        if hit:
+            failures.append(
+                LevelFailure(
+                    level,
+                    subject,
+                    f"invalidated hypothesis {hit[0]!r} at or below this "
+                    "level (V_NonI)",
+                )
+            )
+            # An invalidated hypothesis sits at some level ≤ k, so every
+            # higher level includes it too — no point searching on.
+            break
+        # (V_A): activity by demand/enabledness or by strict measure decrease.
+        if subject != TERMINATION and subject in active_subjects:
+            return ActiveWitnessData(level, subject, "enabled"), failures
+        if before.value is not None and after.value is not None:
+            if order.gt(before.value, after.value):
+                return ActiveWitnessData(level, subject, "decrease"), failures
+            failures.append(
+                LevelFailure(
+                    level,
+                    subject,
+                    f"measure does not decrease: {before.value} ⊁ {after.value} (V_A)",
+                )
+            )
+        else:
+            failures.append(
+                LevelFailure(
+                    level,
+                    subject,
+                    "not enabled in p or p' and no measure value to decrease (V_A)",
+                )
+            )
+    if max_level == 0:
+        failures.append(LevelFailure(0, None, "empty stack overlap"))
+    return None, failures
+
+
 def check_measure_reference(
     graph: ReachableGraph,
     assignment: StackAssignment,
@@ -223,7 +303,7 @@ def check_measure_reference(
                 for r in requirements
                 if r.enabled_at(source_state) or r.enabled_at(target_state)
             )
-        data, failures = find_active_level_general(
+        data, failures = find_active_level_reference(
             source_stack,
             target_stack,
             invalidated,
