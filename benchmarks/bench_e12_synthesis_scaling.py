@@ -5,11 +5,13 @@ but finite-state instances are decidable — and the completeness argument
 is *constructive* there: the synthesiser emits a stack assignment that the
 independent checker then verifies.  Rows: per workload family and size —
 states, decision time burden proxies (transitions), synthesised stack
-height, and checker verdict; every synthesised measure passes.  Benchmarks:
+height, and checker verdict; every synthesised measure passes.  The
+nested-rings rows grow stack height to 1602; ``seconds`` is the median of
+three explore → decide → synthesise → verify runs.  Benchmarks:
 the full decide→synthesise→verify pipeline on a ~2.5k-state grid.
 """
 
-from common import record_table
+from common import record_table, timed_median
 
 from repro.analysis import Table
 from repro.completeness import synthesize_measure
@@ -32,6 +34,9 @@ WORKLOADS = [
     ("ring(32)", lambda: token_ring(32)),
     ("ring(128)", lambda: token_ring(128)),
     ("rings(8)", lambda: nested_rings(8)),
+    ("rings(100)", lambda: nested_rings(100)),
+    ("rings(400)", lambda: nested_rings(400)),
+    ("rings(1600)", lambda: nested_rings(1600)),
 ]
 
 
@@ -49,10 +54,11 @@ def test_e12_synthesis_scaling(benchmark):
     table = Table(
         "E12 — decide → synthesise → verify on growing workloads",
         ["workload", "states", "transitions", "stack height", "regions",
-         "verified"],
+         "verified", "seconds"],
     )
     for name, make in WORKLOADS:
-        graph, synthesis = pipeline(make())
+        seconds, results = timed_median(lambda: pipeline(make()), warmup=0)
+        graph, synthesis = results[-1]
         table.add(
             name,
             len(graph),
@@ -60,6 +66,7 @@ def test_e12_synthesis_scaling(benchmark):
             synthesis.max_stack_height(),
             synthesis.region_count(),
             "PASS",
+            f"{seconds:.2f}",
         )
     record_table(table)
     benchmark(pipeline, counter_grid(49, 49))

@@ -16,7 +16,7 @@ from typing import Any, Callable, List
 
 from repro.ts.explore import ReachableGraph
 from repro.ts.graph import decompose, internal_transitions
-from repro.ts.lasso import Lasso, cycle_through_all, find_path_indices, lasso_from_indices
+from repro.ts.lasso import Lasso, grand_tour_lasso
 from repro.ts.system import State, Transition
 from repro.wf.base import WellFoundedOrder
 from repro.wf.naturals import NATURALS
@@ -134,12 +134,10 @@ def synthesize_floyd(graph: ReachableGraph) -> TerminationMeasure:
     for component in decomposition.components:
         internal = internal_transitions(graph, component)
         if internal:
-            cycle = cycle_through_all(graph, component)
-            stem = find_path_indices(graph, graph.initial_indices, cycle[0].source)
             raise NotTerminatingError(
                 "program has an infinite computation; Floyd's method needs "
                 "fair-termination machinery instead",
-                lasso_from_indices(graph, stem, cycle),
+                grand_tour_lasso(graph, component),
             )
     ranks = {
         graph.state_of(i): decomposition.component_of[i] for i in range(len(graph))

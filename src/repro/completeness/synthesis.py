@@ -29,12 +29,17 @@ Synthesised measures are returned *unverified*; callers (and every test)
 push them through :func:`repro.measures.verification.check_measure`, which
 re-derives the verification conditions independently.
 
-Engine notes: requirement predicates (arbitrary Python callables) are
-evaluated exactly once per state and once per transition, up front; the
-recursive decomposition then runs purely on integer indices and interned
-requirement names over the graph's packed CSR arrays.  Every region's
-sub-SCC pass shares the graph's one Tarjan scratch, so a region costs
-time in its own size, not in the graph's.
+Engine notes: the requirement set becomes ints once, up front
+(:func:`repro.fairness.refine.requirement_masks` — one demanded mask per
+state, one fulfilled mask per transition; command fairness reads the
+graph's columns and calls no predicate).  The decomposition is one
+iterative loop over an explicit work stack, on the stamped region step
+the fair-cycle search uses (:class:`repro.fairness.refine.RefinementScratch`):
+a region's helpful requirement is its lowest starved bit, i.e. the first
+starved requirement in declaration order.  Nothing recurses, so stack
+height is limited by memory, not by Python's recursion limit, and every
+region's sub-SCC pass shares the graph's one Tarjan scratch, so a region
+costs time in its own size, not in the graph's.
 """
 
 from __future__ import annotations
@@ -42,14 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.analysis import TarjanScratch, tarjan_scc_csr
-from repro.engine.packed import PackedGraph
 from repro.fairness.generalized import (
     FairnessRequirement,
     GeneralFairCycle,
     command_requirements,
     find_generally_fair_cycle,
 )
+from repro.fairness.refine import RefinementScratch, requirement_masks
 from repro.measures.assignment import StackAssignment
 from repro.measures.hypotheses import TERMINATION, Hypothesis
 from repro.measures.stack import Stack
@@ -84,7 +88,13 @@ class RegionInfo:
 
     def total_regions(self) -> int:
         """Number of regions in this subtree (including itself)."""
-        return 1 + sum(child.total_regions() for child in self.children)
+        total = 0
+        work = [self]
+        while work:
+            region = work.pop()
+            total += 1
+            work.extend(region.children)
+        return total
 
 
 @dataclass
@@ -114,198 +124,87 @@ class SynthesisResult:
         return sum(region.total_regions() for region in self.regions)
 
 
-@dataclass(frozen=True)
-class _SynthesisContext:
-    """Plain-data view of one synthesis problem.
-
-    Everything a region processor needs, free of transition systems,
-    assignments and requirement callables — so the recursion never calls
-    back into Python predicates:
-
-    * ``packed`` — the graph's CSR arrays;
-    * ``demanded`` — per state, the frozenset of requirement names
-      demanding service there (each ``enabled_at`` evaluated once);
-    * ``fulfilled`` — per transition id, the frozenset of requirement
-      names that transition fulfils (each ``fulfilled_by`` evaluated once);
-    * ``names`` — requirement names in declaration order (the helpful
-      choice scans them in this order, matching the seed exactly);
-    * ``scratch`` — the graph's Tarjan work arrays, shared by every
-      region's sub-SCC pass (one per region would make each pass cost
-      O(states) to allocate, and synthesis O(states × regions)).
-    """
-
-    packed: PackedGraph
-    demanded: Tuple[frozenset, ...]
-    fulfilled: Tuple[frozenset, ...]
-    names: Tuple[str, ...]
-    scratch: TarjanScratch
-
-
-class _RegionUnfair(Exception):
-    """Internal: a (sub)region fulfils every demanded requirement, i.e. it
-    hosts a fair cycle.  Carries the region size for the error message; the
-    caller attaches the (expensively computed) witness."""
-
-    def __init__(self, region_size: int) -> None:
-        super().__init__(region_size)
-        self.region_size = region_size
-
-
-def _build_context(
+def _peel(
     graph: ReachableGraph,
     requirements: Sequence[FairnessRequirement],
-) -> _SynthesisContext:
-    names = tuple(r.name for r in requirements)
-    if all(r.kind == "command" for r in requirements):
-        # Command fairness: "demanded" is enabledness and "fulfilled" is
-        # execution of the named command, both already cached on the graph —
-        # no predicate calls (and no per-state GCL guard re-evaluation).
-        analyses = graph.analyses
-        name_set = frozenset(names)
-        demanded = tuple(
-            enabled if enabled <= name_set else enabled & name_set
-            for enabled in (
-                graph.enabled_at(i) for i in range(len(graph))
-            )
-        )
-        commands = analyses.commands
-        empty: frozenset = frozenset()
-        fulfilled = tuple(
-            commands.singleton(cmd_id)
-            if commands.label_of(cmd_id) in name_set
-            else empty
-            for cmd_id in analyses.packed.cmd
-        )
-    else:
-        demanded = tuple(
-            frozenset(
-                r.name for r in requirements if r.enabled_at(graph.state_of(i))
-            )
-            for i in range(len(graph))
-        )
-        fulfilled = tuple(
-            frozenset(
-                r.name
-                for r in requirements
-                if r.fulfilled_by(
-                    graph.state_of(t.source), t.command, graph.state_of(t.target)
-                )
-            )
-            for t in graph.transitions
-        )
-    return _SynthesisContext(
-        packed=graph.analyses.packed,
-        demanded=demanded,
-        fulfilled=fulfilled,
-        names=names,
-        scratch=graph.analyses.scratch(),
-    )
-
-
-def _internal_eids(ctx: _SynthesisContext, members: set) -> List[int]:
-    packed = ctx.packed
-    out_start, out_eid, dst = packed.out_start, packed.out_eid, packed.dst
-    result: List[int] = []
-    for i in sorted(members):
-        for pos in range(out_start[i], out_start[i + 1]):
-            eid = out_eid[pos]
-            if dst[eid] in members:
-                result.append(eid)
-    return result
-
-
-def _process_region_indexed(
-    region: List[int],
+    components: Sequence[Sequence[int]],
+    entries: Sequence[List[Hypothesis]] | Dict[int, List[Hypothesis]],
     level: int,
-    ctx: _SynthesisContext,
-    entries: Dict[int, List[Hypothesis]],
-) -> RegionInfo:
-    """Assign level-``level`` hypotheses inside one strongly connected
-    region and recurse into its sub-SCCs, index-natively.
+) -> List[RegionInfo]:
+    """Assign hypotheses inside each strongly connected region of
+    ``components`` (level ``level``) and, level by level, inside their
+    sub-SCCs.
 
-    Appends to ``entries[index]`` (creating the list if absent) and returns
-    the region's :class:`RegionInfo`; raises :class:`_RegionUnfair` when the
-    region starves nothing.
+    Appends one hypothesis per level to ``entries[index]`` of every state
+    in a region and returns the regions' :class:`RegionInfo` trees.  The
+    work stack is popped depth first, children in Tarjan order, so each
+    parent's :class:`RegionInfo` exists before its children and a state's
+    hypotheses come out in level order.  Raises
+    :class:`NotFairlyTerminatingError` on the first region that starves
+    nothing.
     """
-    members = set(region)
-    internal = _internal_eids(ctx, members)
-    demanded = ctx.demanded
-    fulfilled = ctx.fulfilled
-    helpful: Optional[str] = None
-    enabled_here: List[int] = []
-    for name in ctx.names:
-        candidates = [i for i in region if name in demanded[i]]
-        if candidates and not any(name in fulfilled[e] for e in internal):
-            helpful = name
-            enabled_here = candidates
-            break
-    if helpful is None:
-        raise _RegionUnfair(len(region))
+    masks = requirement_masks(graph, requirements)
+    labels = masks.labels
+    demand = masks.demand
+    packed = graph.analyses.packed
+    scratch = RefinementScratch(graph.analyses.scratch())
+    scratch.ensure(len(graph))
+    # A singleton without a self-loop is a trivial region: skip it before
+    # the region step.
+    src, _, dst = graph.transition_columns
+    loops = {s for s, t in zip(src, dst) if s == t}
 
-    rest = sorted(members - set(enabled_here))
-    sub_components = tarjan_scc_csr(ctx.packed, rest, scratch=ctx.scratch)
-    sub_rank: Dict[int, int] = {}
-    for position, component in enumerate(sub_components):
-        for node in component:
-            sub_rank[node] = position
+    def nontrivial(component) -> bool:
+        return len(component) > 1 or component[0] in loops
 
-    # Measure for the helpful hypothesis: 0 on states where it demands
-    # service (activity there is by demand; the value is immaterial), and
-    # 1 + sub-SCC rank elsewhere, so transitions between different sub-SCCs
-    # strictly decrease it.
-    for index in enabled_here:
-        entries.setdefault(index, []).append(Hypothesis(helpful, 0))
-    for index in rest:
-        entries.setdefault(index, []).append(
-            Hypothesis(helpful, 1 + sub_rank[index])
-        )
-
-    info = RegionInfo(
-        level=level,
-        helpful=helpful,
-        states=tuple(region),
-        enabled_here=tuple(sorted(enabled_here)),
-    )
-    for component in sub_components:
-        sub_members = set(component)
-        if not _internal_eids(ctx, sub_members):
-            continue
-        info.children.append(
-            _process_region_indexed(
-                sorted(sub_members), level + 1, ctx, entries
+    roots: List[RegionInfo] = []
+    work = [
+        (component, level, roots)
+        for component in reversed(components)
+        if nontrivial(component)
+    ]
+    while work:
+        region, depth, siblings = work.pop()
+        _, demanded, served = scratch.region(region, packed, masks)
+        starved = demanded & ~served
+        if not starved:
+            raise NotFairlyTerminatingError(
+                f"region of {len(region)} states fulfils every demanded "
+                "requirement internally — it hosts a fair cycle, so the "
+                "program does not fairly terminate",
+                find_generally_fair_cycle(graph, requirements),
             )
+        bit = starved & -starved
+        helpful = labels[bit.bit_length() - 1]
+        # Measure for the helpful hypothesis: 0 on states where it demands
+        # service (activity there is by demand; the value is immaterial),
+        # and 1 + sub-SCC rank elsewhere, so transitions between different
+        # sub-SCCs strictly decrease it.
+        enabled_here = []
+        rest = []
+        for i in region:
+            (enabled_here if demand[i] & bit else rest).append(i)
+        demanding = Hypothesis(helpful, 0)
+        for i in enabled_here:
+            entries[i].append(demanding)
+        sub = scratch.components(packed, rest)
+        for rank, component in enumerate(sub, 1):
+            measured = Hypothesis(helpful, rank)
+            for i in component:
+                entries[i].append(measured)
+        info = RegionInfo(
+            level=depth,
+            helpful=helpful,
+            states=tuple(region),
+            enabled_here=tuple(enabled_here),
         )
-    return info
-
-
-def _process_top_regions(
-    ctx: _SynthesisContext, regions: Sequence[Sequence[int]]
-):
-    """Process the independent top-level SCC regions, in order.
-
-    Returns one entry per region: ``("ok", extra, info)`` with the
-    hypotheses appended above the base stacks, or ``("unfair",
-    region_size)``.
-    """
-    results = []
-    traced = telemetry.enabled()
-    for region in regions:
-        extra: Dict[int, List[Hypothesis]] = {}
-        try:
-            info = _process_region_indexed(list(region), 1, ctx, extra)
-        except _RegionUnfair as unfair:
-            results.append(("unfair", unfair.region_size))
-            if traced:
-                telemetry.count("synthesize.unfair_regions")
-        else:
-            results.append(("ok", extra, info))
-            if traced:
-                telemetry.count("synthesize.regions", info.total_regions())
-                telemetry.count(
-                    "synthesize.hypotheses",
-                    sum(len(appended) for appended in extra.values()),
-                )
-    return results
+        siblings.append(info)
+        work.extend(
+            (component, depth + 1, info.children)
+            for component in reversed(sub)
+            if nontrivial(component)
+        )
+    return roots
 
 
 def synthesize_measure(
@@ -338,10 +237,11 @@ def synthesize_measure(
         requirements = command_requirements(graph.system)
     with telemetry.span("synthesize", states=len(graph), jobs=n_jobs) as sp:
         result = _synthesize_inner(graph, requirements)
+        height = result.max_stack_height()
         telemetry.count("synthesize.runs")
-        telemetry.gauge("synthesize.max_stack_height", result.max_stack_height())
+        telemetry.gauge("synthesize.max_stack_height", height)
         sp.set("regions", result.region_count())
-        sp.set("max_stack_height", result.max_stack_height())
+        sp.set("max_stack_height", height)
         return result
 
 
@@ -350,39 +250,24 @@ def _synthesize_inner(
     requirements: Sequence[FairnessRequirement],
 ) -> SynthesisResult:
     top = decompose(graph)
-    ctx = _build_context(graph, requirements)
     # Reverse-topological component position: every inter-SCC transition
     # strictly decreases it.
-    base_entries: Dict[int, List[Hypothesis]] = {
-        index: [Hypothesis(TERMINATION, top.component_of[index])]
-        for index in range(len(graph))
-    }
-
-    nontrivial = [
-        component
-        for component in top.components
-        if _internal_eids(ctx, set(component))
-    ]
-    telemetry.count("synthesize.top_sccs", len(nontrivial))
-
-    regions: List[RegionInfo] = []
-    for outcome in _process_top_regions(ctx, nontrivial):
-        if outcome[0] == "unfair":
-            witness = find_generally_fair_cycle(graph, requirements)
-            raise NotFairlyTerminatingError(
-                f"region of {outcome[1]} states fulfils every demanded "
-                "requirement internally — it hosts a fair cycle, so the "
-                "program does not fairly terminate",
-                witness,
-            )
-        _, extra, info = outcome
-        for index, appended in extra.items():
-            base_entries[index].extend(appended)
-        regions.append(info)
-
-    stacks = {
-        index: Stack(entries) for index, entries in base_entries.items()
-    }
+    base_entries: List[List[Hypothesis]] = [[]] * len(graph)
+    for rank, component in enumerate(top.components):
+        termination = Hypothesis(TERMINATION, rank)
+        for index in component:
+            base_entries[index] = [termination]
+    regions = _peel(graph, requirements, top.components, base_entries, 1)
+    if telemetry.enabled():
+        telemetry.count("synthesize.top_sccs", len(regions))
+        telemetry.count(
+            "synthesize.regions", sum(info.total_regions() for info in regions)
+        )
+        telemetry.count(
+            "synthesize.hypotheses",
+            sum(len(entries) - 1 for entries in base_entries),
+        )
+    stacks = {index: Stack(entries) for index, entries in enumerate(base_entries)}
     return SynthesisResult(graph=graph, stacks=stacks, regions=regions)
 
 
@@ -393,56 +278,12 @@ def process_regions(
     entries: Dict[int, List[Hypothesis]],
     level: int = 1,
 ) -> List[RegionInfo]:
-    """Process several disjoint strongly connected regions with one shared
-    indexed context (requirement predicates evaluated once for all of them).
+    """Process several disjoint strongly connected regions (each
+    ascending) with one set of requirement masks.
 
-    Trivial components (no internal transition) are skipped.  Used by
-    :mod:`repro.response.measure`, which decomposes a pending region and
-    runs the standard construction inside each of its SCCs.
+    Trivial components (no internal transition) are skipped; raises
+    :class:`NotFairlyTerminatingError` when a region hosts a fair cycle.
+    Used by :mod:`repro.response.measure`, which decomposes a pending
+    region and runs the standard construction inside each of its SCCs.
     """
-    ctx = _build_context(graph, requirements)
-    regions: List[RegionInfo] = []
-    try:
-        for component in components:
-            if not _internal_eids(ctx, set(component)):
-                continue
-            regions.append(
-                _process_region_indexed(list(component), level, ctx, entries)
-            )
-    except _RegionUnfair as unfair:
-        witness = find_generally_fair_cycle(graph, requirements)
-        raise NotFairlyTerminatingError(
-            f"region of {unfair.region_size} states fulfils every demanded "
-            "requirement internally — it hosts a fair cycle, so the program "
-            "does not fairly terminate",
-            witness,
-        ) from None
-    return regions
-
-
-def _process_region(
-    graph: ReachableGraph,
-    region: List[int],
-    level: int,
-    requirements: Sequence[FairnessRequirement],
-    entries: Dict[int, List[Hypothesis]],
-) -> RegionInfo:
-    """Assign hypotheses inside one strongly connected region (state-level
-    compatibility entry point).
-
-    Builds the indexed context for the *whole* graph and delegates; raises
-    :class:`NotFairlyTerminatingError` like the seed implementation did.
-    Callers with several regions should use :func:`process_regions`, which
-    shares one context across all of them.
-    """
-    ctx = _build_context(graph, requirements)
-    try:
-        return _process_region_indexed(list(region), level, ctx, entries)
-    except _RegionUnfair as unfair:
-        witness = find_generally_fair_cycle(graph, requirements)
-        raise NotFairlyTerminatingError(
-            f"region of {unfair.region_size} states fulfils every demanded "
-            "requirement internally — it hosts a fair cycle, so the program "
-            "does not fairly terminate",
-            witness,
-        ) from None
+    return _peel(graph, requirements, components, entries, level)

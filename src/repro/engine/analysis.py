@@ -39,7 +39,7 @@ class TarjanScratch:
 
     Not thread-safe; callers that share one (e.g.
     :class:`GraphAnalyses`, the streaming checker's
-    :class:`~repro.fairness.checker.RefinementScratch`) are single-threaded.
+    :class:`~repro.fairness.refine.RefinementScratch`) are single-threaded.
     """
 
     __slots__ = ("n", "base", "order", "lowlink", "on_stack", "flags",
@@ -209,6 +209,7 @@ class GraphAnalyses:
         "enabled_masks",
         "_full_components",
         "_scratch",
+        "_executed_bits",
     )
 
     def __init__(self, graph: "ReachableGraph") -> None:
@@ -222,6 +223,7 @@ class GraphAnalyses:
         self.enabled_masks: Sequence[int] = graph.enabled_masks
         self._full_components: Optional[List[List[int]]] = None
         self._scratch: Optional[TarjanScratch] = None
+        self._executed_bits: Optional[List[int]] = None
 
     # -- SCC ------------------------------------------------------------
 
@@ -267,14 +269,6 @@ class GraphAnalyses:
                     result.append(eid)
         return result
 
-    def executed_mask(self, eids: Iterable[int]) -> int:
-        """Bitmask of commands executed by the given transition ids."""
-        cmd = self.packed.cmd
-        mask = 0
-        for eid in eids:
-            mask |= 1 << cmd[eid]
-        return mask
-
     def enabled_mask_within(self, members: Iterable[int]) -> int:
         """Bitmask of commands enabled at some state of ``members``."""
         masks = self.enabled_masks
@@ -299,28 +293,17 @@ class GraphAnalyses:
                     mask |= 1 << cmd[eid]
         return mask
 
-    def executed_mask_stamped(
-        self, members: Sequence[int], stamp: Sequence[int], stamp_value: int
-    ) -> int:
-        """Executed-command bitmask of a *stamped* region.
+    def executed_bits(self) -> List[int]:
+        """Per transition id, the bit of its command (``1 << cmd[eid]``).
 
-        ``stamp[i] == stamp_value`` marks membership; ``members`` lists
-        the stamped states.  Same answer as :meth:`executed_mask_within`
-        on the equivalent set, without building one — the fair-cycle
-        refinement calls this once per candidate region per level.
+        Built once per graph: the fulfilled column of command fairness
+        (:func:`repro.fairness.refine.requirement_masks`), read by every
+        decide and synthesis over this graph.
         """
-        packed = self.packed
-        out_start = packed.out_start
-        out_eid = packed.out_eid
-        dst = packed.dst
-        cmd = packed.cmd
-        mask = 0
-        for i in members:
-            for pos in range(out_start[i], out_start[i + 1]):
-                eid = out_eid[pos]
-                if stamp[dst[eid]] == stamp_value:
-                    mask |= 1 << cmd[eid]
-        return mask
+        if self._executed_bits is None:
+            bits = [1 << c for c in range(len(self.commands))]
+            self._executed_bits = [bits[c] for c in self.packed.cmd]
+        return self._executed_bits
 
     def labels_of_mask(self, mask: int) -> frozenset:
         """Frozenset of command labels for a bitmask (cached)."""

@@ -1,16 +1,17 @@
 """The pre-engine algorithms, preserved as baseline and oracle.
 
 These are the seed implementations of exploration, SCC decomposition,
-measure checking and measure synthesis, kept byte-for-byte in behaviour (and deliberately
-in *cost*: the reference ``decompose`` scans every graph transition per
-call, and the reference synthesis re-evaluates requirement predicates per
+the fair-cycle searches, measure checking and measure synthesis, kept
+byte-for-byte in behaviour (and deliberately in *cost*: the reference
+``decompose`` scans every graph transition per call, and the reference
+synthesis and generalized search re-evaluate requirement predicates per
 region — the exact quadratic churn the engine removes).
 
 Two consumers:
 
 * ``benchmarks/bench_e13_engine_scaling.py`` uses them as the "before"
   column of the speedup table;
-* ``tests/engine`` and ``tests/measures`` use them as an
+* ``tests/engine``, ``tests/fairness`` and ``tests/measures`` use them as an
   independently-written oracle that the engine fast paths must match
   bit-for-bit (:func:`explore_reference` is
   test-only: the FIFO loop the round-based explorer must reproduce).
@@ -350,7 +351,6 @@ def synthesize_measure_reference(
         RegionInfo,
         SynthesisResult,
     )
-    from repro.fairness.generalized import find_generally_fair_cycle
 
     if not graph.complete:
         raise ValueError(
@@ -387,7 +387,7 @@ def synthesize_measure_reference(
                 enabled_here = demanded
                 break
         if helpful is None:
-            witness = find_generally_fair_cycle(graph, requirements)
+            witness = find_generally_fair_cycle_reference(graph, requirements)
             raise NotFairlyTerminatingError(
                 f"region of {len(region)} states fulfils every demanded "
                 "requirement internally — it hosts a fair cycle, so the "
@@ -471,6 +471,71 @@ def find_fair_cycle_reference(graph: ReachableGraph, restrict_to=None):
                 )
             survivors = {
                 i for i in component if not (graph.enabled_at(i) & violating)
+            }
+            if survivors:
+                pending.append(survivors)
+    return None
+
+
+def find_generally_fair_cycle_reference(
+    graph: ReachableGraph,
+    requirements: Sequence[FairnessRequirement],
+):
+    """Seed ``find_generally_fair_cycle``: Python sets per level, every
+    requirement predicate re-evaluated per state and per internal
+    transition of every candidate region."""
+    from repro.fairness.generalized import GeneralFairCycle, requirement_violations
+    from repro.ts.lasso import (
+        cycle_through_all,
+        find_path_indices,
+        lasso_from_indices,
+    )
+
+    def starved_requirements(component, internal):
+        starved = []
+        for requirement in requirements:
+            demanded = any(
+                requirement.enabled_at(graph.state_of(index))
+                for index in component
+            )
+            if not demanded:
+                continue
+            fulfilled = any(
+                requirement.fulfilled_by(
+                    graph.state_of(t.source), t.command, graph.state_of(t.target)
+                )
+                for t in internal
+            )
+            if not fulfilled:
+                starved.append(requirement)
+        return starved
+
+    pending: List[Set[int]] = [set(range(len(graph)))]
+    while pending:
+        current = pending.pop()
+        decomposition = decompose_reference(graph, restrict_to=current)
+        for component in decomposition.components:
+            internal = internal_transitions_reference(graph, component)
+            if not internal:
+                continue
+            starved = starved_requirements(component, internal)
+            if not starved:
+                cycle = cycle_through_all(graph, component)
+                stem = find_path_indices(
+                    graph, graph.initial_indices, cycle[0].source
+                )
+                lasso = lasso_from_indices(graph, stem, cycle)
+                if requirement_violations(lasso, requirements):
+                    raise AssertionError(
+                        "internal error: grand tour unexpectedly unfair"
+                    )
+                return GeneralFairCycle(lasso=lasso, region=tuple(component))
+            survivors = {
+                index
+                for index in component
+                if not any(
+                    r.enabled_at(graph.state_of(index)) for r in starved
+                )
             }
             if survivors:
                 pending.append(survivors)

@@ -6,7 +6,7 @@ computation exists iff some reachable sub-SCC hosts a **fair cycle** — a
 cycle along which every command enabled at a visited state is also executed.
 Strong fairness is a Streett condition (one pair per command:
 "infinitely often enabled ⇒ infinitely often executed"), and we use the
-classic recursive SCC-refinement emptiness check:
+classic SCC-refinement emptiness check:
 
 1. Decompose the candidate region into SCCs.
 2. In an SCC ``S`` with internal transitions, let ``E`` be the commands
@@ -16,31 +16,34 @@ classic recursive SCC-refinement emptiness check:
 3. Otherwise every fair computation confined to ``S`` would have to
    eventually avoid all states enabling a command in ``E − X`` (such a
    command may be enabled only finitely often on a fair run that never
-   executes it); remove those states and recurse on the remainder.
+   executes it); remove those states and decompose the remainder again.
 
-The refinement terminates because each recursion strictly shrinks the
-region.  On a *complete* graph the verdict is exact; on a bounded graph a
-found fair cycle is still a genuine counterexample, while "no fair cycle"
-only covers the explored region (the result says which).
+The loop is :func:`repro.fairness.refine.find_fair_region`, iterative
+over stamped regions and shared with generalized fairness
+(:mod:`repro.fairness.generalized`); here its masks are the graph's
+enabled masks and ``cmd`` column.  It terminates because each level
+strictly shrinks the region.  On a *complete* graph the verdict is exact;
+on a bounded graph a found fair cycle is still a genuine counterexample,
+while "no fair cycle" only covers the explored region (the result says
+which).
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
+from repro.fairness.refine import (
+    RefinementScratch,
+    find_fair_region,
+    requirement_masks,
+)
 from repro.fairness.spec import STRONG_FAIRNESS
 from repro.telemetry import core as telemetry
 from repro.telemetry import events
 from repro.ts.explore import ReachableGraph, explore
 from repro.ts.graph import decompose
-from repro.ts.lasso import (
-    Lasso,
-    cycle_through_all,
-    find_path_indices,
-    lasso_from_indices,
-)
+from repro.ts.lasso import Lasso, grand_tour_lasso
 from repro.ts.system import TransitionSystem
 
 
@@ -103,136 +106,25 @@ def find_fair_cycle(
                 f"{n} states (valid indices: 0..{n - 1})"
             )
         components = decompose(graph, restrict_to=region).components
-    return _refine_components(graph, components)
+    return _fair_cycle(graph, components)
 
 
-class RefinementScratch:
-    """Recycled allocations of the Streett refinement.
-
-    Holds the generation-stamp array and the Tarjan work arrays
-    (:class:`~repro.engine.analysis.TarjanScratch`).  One refinement pass
-    already shares the stamp across its levels; the *streaming* decision
-    procedure runs a refinement per budget stage over the same growing
-    graph, so it threads one scratch through all of them — stages allocate
-    nothing, they only extend.  The generation counter persists across
-    passes, which is what makes reuse sound: a stale stamp value can never
-    equal a fresh generation.
-    """
-
-    __slots__ = ("stamp", "generation", "tarjan")
-
-    def __init__(self) -> None:
-        from repro.engine.analysis import TarjanScratch
-
-        self.stamp = array("q")
-        self.generation = 0
-        self.tarjan = TarjanScratch()
-
-    def ensure(self, n: int) -> None:
-        """Grow the stamp to cover ``n`` states (never shrinks)."""
-        grow = n - len(self.stamp)
-        if grow > 0:
-            self.stamp.frombytes(bytes(8 * grow))
-
-
-def _refine_components(
+def _fair_cycle(
     graph: ReachableGraph,
     components: Sequence[Sequence[int]],
     scratch: Optional[RefinementScratch] = None,
 ) -> Optional[FairCycle]:
-    """The recursive Streett-emptiness refinement, on stamped regions.
-
-    Membership at every refinement level is a *generation stamp* over one
-    shared ``array('q')`` — each candidate region bumps the generation and
-    stamps its members, so no per-level sets are built and no decomposition
-    is re-sliced: SCCs, executed masks and enabled masks are all read
-    straight off the graph's CSR arrays through the stamp.  Component
-    order (reverse topological), per-component member order (ascending)
-    and the survivor stack discipline replicate the set-based
-    implementation exactly, so every witness is bit-identical to it.
-
-    ``scratch`` recycles the stamp and the Tarjan work arrays across
-    passes (:class:`RefinementScratch`); omitted, a fresh private one is
-    used — the verdict and witness are identical either way.
-    """
-    from repro.engine.analysis import tarjan_scc_csr
-
-    analyses = graph.analyses
-    enabled_masks = analyses.enabled_masks
-    packed = analyses.packed
-    if scratch is None:
-        scratch = RefinementScratch()
-    scratch.ensure(len(graph))
-    stamp = scratch.stamp
-    generation = scratch.generation
-    pending: List[List[int]] = []
-
-    def scan(batch: Sequence[Sequence[int]]) -> Optional[FairCycle]:
-        nonlocal generation
-        for component in batch:
-            generation += 1
-            for i in component:
-                stamp[i] = generation
-            executed_mask = analyses.executed_mask_stamped(
-                component, stamp, generation
-            )
-            if not executed_mask:
-                # No internal transition — a trivial component.
-                continue
-            enabled_mask = 0
-            for i in component:
-                enabled_mask |= enabled_masks[i]
-            violating_mask = enabled_mask & ~executed_mask
-            if not violating_mask:
-                cycle = cycle_through_all(graph, component)
-                stem = find_path_indices(
-                    graph, graph.initial_indices, cycle[0].source
-                )
-                lasso = lasso_from_indices(graph, stem, cycle)
-                return FairCycle(
-                    lasso=lasso,
-                    region=tuple(component),
-                    enabled_on_cycle=analyses.labels_of_mask(enabled_mask),
-                    executed_on_cycle=analyses.labels_of_mask(executed_mask),
-                )
-            # Remove every state enabling a violating command; what remains
-            # may still host a fair cycle one level down.  Iterating the
-            # (ascending) component keeps survivors ascending, which is
-            # what the stamped Tarjan requires of its root order.
-            survivors = [
-                i
-                for i in component
-                if not (enabled_masks[i] & violating_mask)
-            ]
-            if survivors:
-                pending.append(survivors)
+    """Refine ``components`` under command fairness; the fair cycle on
+    the first region that starves no command, or ``None``."""
+    region = find_fair_region(graph, requirement_masks(graph), components, scratch)
+    if region is None:
         return None
-
-    try:
-        found = scan(components)
-        if found is not None:
-            return found
-        while pending:
-            region = pending.pop()
-            generation += 1
-            for i in region:
-                stamp[i] = generation
-            sub = tarjan_scc_csr(
-                packed,
-                region,
-                stamp=stamp,
-                stamp_value=generation,
-                scratch=scratch.tarjan,
-            )
-            # The decomposition's contract sorts each component ascending.
-            found = scan([sorted(c) for c in sub])
-            if found is not None:
-                return found
-        return None
-    finally:
-        # Persist the generation so the next pass through this scratch
-        # starts above every stamp value it may have left behind.
-        scratch.generation = generation
+    return FairCycle(
+        lasso=grand_tour_lasso(graph, region),
+        region=region,
+        enabled_on_cycle=graph.commands_enabled_within(region),
+        executed_on_cycle=graph.commands_executed_within(region),
+    )
 
 
 def _validated_counterexample(
@@ -405,7 +297,7 @@ def _streaming_decide(
         ]
         if telemetry.enabled():
             telemetry.count("stream.sccs_checked", len(candidates))
-        witness = _refine_components(graph, candidates, scratch)
+        witness = _fair_cycle(graph, candidates, scratch)
         # One stage-transition event per budget stage — the streaming
         # decide's natural unit of progress reporting.
         events.emit(
@@ -464,10 +356,8 @@ def find_weakly_fair_cycle(graph: ReachableGraph) -> Optional[FairCycle]:
         for i in component:
             everywhere_mask &= enabled_masks[i]
         if not (everywhere_mask & ~executed_mask):
-            cycle = cycle_through_all(graph, component)
-            stem = find_path_indices(graph, graph.initial_indices, cycle[0].source)
             return FairCycle(
-                lasso=lasso_from_indices(graph, stem, cycle),
+                lasso=grand_tour_lasso(graph, component),
                 region=tuple(component),
                 enabled_on_cycle=graph.commands_enabled_within(component_set),
                 executed_on_cycle=analyses.labels_of_mask(executed_mask),
@@ -495,10 +385,8 @@ def find_impartial_cycle(graph: ReachableGraph) -> Optional[FairCycle]:
             continue
         executed = analyses.labels_of_mask(executed_mask)
         if executed == all_commands:
-            cycle = cycle_through_all(graph, component)
-            stem = find_path_indices(graph, graph.initial_indices, cycle[0].source)
             return FairCycle(
-                lasso=lasso_from_indices(graph, stem, cycle),
+                lasso=grand_tour_lasso(graph, component),
                 region=tuple(component),
                 enabled_on_cycle=graph.commands_enabled_within(component_set),
                 executed_on_cycle=executed,

@@ -18,9 +18,14 @@ fairness is the instance with one requirement per command
 similar notions are other instances.
 
 :func:`find_generally_fair_cycle` decides, for a finite reachable graph,
-whether a fair infinite computation exists — the same Streett-style SCC
-refinement as the per-command checker, with requirement-based pairs.  The
-stack-assertion machinery generalizes alongside: hypotheses may name
+whether a fair infinite computation exists.  It runs the per-command
+checker's loop (:func:`repro.fairness.refine.find_fair_region`) over
+requirement masks: each ``enabled_at`` is evaluated once per state and
+each ``fulfilled_by`` once per transition, and requirements with
+``kind="command"`` are answered from the graph's columns without calling
+either.  Its set-based oracle is
+:func:`repro.engine.reference.find_generally_fair_cycle_reference`.
+The stack-assertion machinery generalizes alongside: hypotheses may name
 requirements instead of commands (see
 :func:`repro.measures.verification.check_measure` with ``requirements=``),
 and the synthesiser accepts a requirement set too.
@@ -28,17 +33,13 @@ and the synthesiser accepts a requirement set too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.ts.explore import IndexedTransition, ReachableGraph
-from repro.ts.graph import decompose, internal_transitions
-from repro.ts.lasso import (
-    Lasso,
-    cycle_through_all,
-    find_path_indices,
-    lasso_from_indices,
-)
+from repro.fairness.refine import find_fair_region, requirement_masks
+from repro.ts.explore import ReachableGraph
+from repro.ts.graph import decompose
+from repro.ts.lasso import Lasso, grand_tour_lasso
 from repro.ts.system import CommandLabel, State, TransitionSystem
 
 
@@ -173,60 +174,25 @@ def find_generally_fair_cycle(
     fulfilled by some internal transition; otherwise states demanding a
     starved requirement are removed and the remainder re-examined.
     """
-    pending: List[Set[int]] = [set(range(len(graph)))]
-    while pending:
-        current = pending.pop()
-        decomposition = decompose(graph, restrict_to=current)
-        for component in decomposition.components:
-            internal = internal_transitions(graph, component)
-            if not internal:
-                continue
-            starved = _starved_requirements(graph, component, internal, requirements)
-            if not starved:
-                cycle = cycle_through_all(graph, component)
-                stem = find_path_indices(
-                    graph, graph.initial_indices, cycle[0].source
-                )
-                lasso = lasso_from_indices(graph, stem, cycle)
-                if requirement_violations(lasso, requirements):
-                    raise AssertionError(
-                        "internal error: grand tour unexpectedly unfair"
-                    )
-                return GeneralFairCycle(lasso=lasso, region=tuple(component))
-            survivors = {
-                index
-                for index in component
-                if not any(
-                    r.enabled_at(graph.state_of(index)) for r in starved
-                )
-            }
-            if survivors:
-                pending.append(survivors)
-    return None
-
-
-def _starved_requirements(
-    graph: ReachableGraph,
-    component: Sequence[int],
-    internal: Sequence[IndexedTransition],
-    requirements: Sequence[FairnessRequirement],
-) -> List[FairnessRequirement]:
-    starved = []
-    for requirement in requirements:
-        demanded = any(
-            requirement.enabled_at(graph.state_of(index)) for index in component
-        )
-        if not demanded:
-            continue
-        fulfilled = any(
-            requirement.fulfilled_by(
-                graph.state_of(t.source), t.command, graph.state_of(t.target)
+    # Each requirement is its own Streett pair, even where names repeat
+    # (the masks merge requirements by name): repeats get distinct labels.
+    names = set()
+    pairs = []
+    for k, requirement in enumerate(requirements):
+        if requirement.name in names:
+            requirement = replace(
+                requirement, name=(requirement.name, k), kind="general"
             )
-            for t in internal
-        )
-        if not fulfilled:
-            starved.append(requirement)
-    return starved
+        names.add(requirement.name)
+        pairs.append(requirement)
+    masks = requirement_masks(graph, pairs)
+    region = find_fair_region(graph, masks, decompose(graph).components)
+    if region is None:
+        return None
+    lasso = grand_tour_lasso(graph, region)
+    if requirement_violations(lasso, requirements):
+        raise AssertionError("internal error: grand tour unexpectedly unfair")
+    return GeneralFairCycle(lasso=lasso, region=region)
 
 
 def check_general_fair_termination(

@@ -30,14 +30,15 @@ class Stack:
             raise ValueError(
                 f"level 0 must be the T-hypothesis, got {entries[0]}"
             )
-        subjects = [h.subject for h in entries]
-        if len(set(subjects)) != len(subjects):
+        # T sits at level 0, so a T anywhere above is a duplicate too.
+        levels = {}
+        for i, hypothesis in enumerate(entries):
+            levels[hypothesis.subject] = i
+        if len(levels) != len(entries):
+            subjects = [h.subject for h in entries]
             raise ValueError(f"duplicate hypotheses in stack: {subjects}")
-        for hypothesis in entries[1:]:
-            if hypothesis.is_termination:
-                raise ValueError("the T-hypothesis may only appear at level 0")
         self._entries: Tuple[Hypothesis, ...] = entries
-        self._levels = {h.subject: i for i, h in enumerate(entries)}
+        self._levels = levels
         self._hash = hash(entries)
 
     # -- construction helpers ------------------------------------------------

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import shm
 from repro.engine.parallel import chunk_items, effective_jobs, parallel_map
+from repro.fairness.refine import requirement_masks
 from repro.measures.assignment import StackAssignment
 from repro.measures.columns import (
     StackColumns,
@@ -461,32 +462,24 @@ def _requirement_columns(graph: ReachableGraph, requirements):
     Requirement names form the subject table, keyed by name: per state,
     the mask of names some requirement demands service for; per edge,
     the invalidation word of the names some requirement is fulfilled by
-    (bit ``id + 1``, bit 0 for a requirement named ``"T"``).
+    (bit ``id + 1``, bit 0 for a requirement named ``"T"``).  Both come
+    from :func:`~repro.fairness.refine.requirement_masks`, so
+    ``kind="command"`` requirements call no predicate.
     """
-    requirements = tuple(requirements)
-    labels = list(dict.fromkeys(r.name for r in requirements))
-    ids = {label: k for k, label in enumerate(labels)}
+    labels, demand, fulfilled = requirement_masks(graph, requirements)
     words = invalidation_words(labels)
-    demand_bits = [1 << ids[r.name] for r in requirements]
-    fulfil_bits = [words[ids[r.name]] for r in requirements]
-    states = [graph.state_of(i) for i in range(len(graph))]
-    demand = []
-    for state in states:
-        mask = 0
-        for requirement, bit in zip(requirements, demand_bits):
-            if requirement.enabled_at(state):
-                mask |= bit
-        demand.append(mask)
-    fulfilled = []
-    for transition in graph.transitions:
-        source = states[transition.source]
-        target = states[transition.target]
-        word = 0
-        for requirement, bit in zip(requirements, fulfil_bits):
-            if requirement.fulfilled_by(source, transition.command, target):
-                word |= bit
-        fulfilled.append(word)
-    return labels, demand, fulfilled
+    memo: Dict[int, int] = {}
+    invalidated = []
+    for mask in fulfilled:
+        word = memo.get(mask)
+        if word is None:
+            word = 0
+            for k, bit_word in enumerate(words):
+                if (mask >> k) & 1:
+                    word |= bit_word
+            memo[mask] = word
+        invalidated.append(word)
+    return list(labels), demand, invalidated
 
 
 def check_measure(

@@ -220,3 +220,12 @@ def cycle_through_all(
     if not tour:
         raise ValueError("failed to build a tour")
     return tour
+
+
+def grand_tour_lasso(graph: ReachableGraph, component: Sequence[int]) -> Lasso:
+    """The lasso whose cycle is ``component``'s grand tour
+    (:func:`cycle_through_all`), reached by a shortest stem from the
+    initial states."""
+    cycle = cycle_through_all(graph, component)
+    stem = find_path_indices(graph, graph.initial_indices, cycle[0].source)
+    return lasso_from_indices(graph, stem, cycle)

@@ -1,5 +1,7 @@
 """Tests for automatic measure synthesis."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,6 +81,20 @@ class TestOnKnownPrograms:
             graph = explore(distractor_loop(3, distractors))
             synthesis, _ = synthesize_and_verify(graph)
             assert synthesis.max_stack_height() == 2
+
+    def test_deep_nesting_within_default_recursion_limit(self):
+        # Nothing recurses per level — not the decomposition, not
+        # region_count() — so a stack of height 1202 synthesizes and
+        # checks at Python's default recursion limit.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            graph = explore(nested_rings(1200))
+            synthesis, _ = synthesize_and_verify(graph)
+            assert synthesis.max_stack_height() == 1202
+            assert synthesis.region_count() == 1201
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_region_tree_reported(self):
         graph = explore(nested_rings(2))

@@ -164,46 +164,39 @@ class TestAgainstBruteForce:
 
 class TestRefinementScratch:
     """The recycled stamp/Tarjan arrays threaded through the streaming
-    decide (DESIGN §6f) must not change a single verdict or witness."""
+    decide (DESIGN §6f) must not change a single fair region."""
 
     def test_scratch_reuse_matches_fresh_across_graphs(self):
-        from repro.fairness.checker import (
-            RefinementScratch, _refine_components,
+        from repro.fairness.refine import (
+            RefinementScratch, find_fair_region, requirement_masks,
         )
 
         scratch = RefinementScratch()
         for seed in range(12):
             graph = explore(random_system(seed=seed, states=30))
+            masks = requirement_masks(graph)
             components = [
                 list(component)
                 for component in graph.analyses.full_components()
             ]
-            fresh = _refine_components(graph, components)
-            reused = _refine_components(graph, components, scratch)
-            if fresh is None:
-                assert reused is None
-            else:
-                assert reused is not None
-                assert reused.region == fresh.region
-                assert reused.lasso == fresh.lasso
+            fresh = find_fair_region(graph, masks, components)
+            reused = find_fair_region(graph, masks, components, scratch)
+            assert reused == fresh
 
     def test_scratch_survives_repeated_refinement_of_one_graph(self):
-        from repro.fairness.checker import (
-            RefinementScratch, _refine_components,
+        from repro.fairness.refine import (
+            RefinementScratch, find_fair_region, requirement_masks,
         )
 
         graph = explore(p2(8))
+        masks = requirement_masks(graph)
         components = [
             list(component) for component in graph.analyses.full_components()
         ]
         scratch = RefinementScratch()
         results = [
-            _refine_components(graph, components, scratch) for _ in range(5)
+            find_fair_region(graph, masks, components, scratch)
+            for _ in range(5)
         ]
-        fresh = _refine_components(graph, components)
-        for result in results:
-            if fresh is None:
-                assert result is None
-            else:
-                assert result.region == fresh.region
-                assert result.lasso == fresh.lasso
+        fresh = find_fair_region(graph, masks, components)
+        assert results == [fresh] * 5

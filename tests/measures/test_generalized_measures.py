@@ -145,3 +145,44 @@ class TestGeneralizedSynthesis:
             else:
                 with pytest.raises(NotFairlyTerminatingError):
                     synthesize_measure(graph, requirements=requirements)
+
+
+class TestCommandKindCallsNoPredicate:
+    """``kind="command"`` promises the graph's enabled masks and ``cmd``
+    column answer both predicates, so neither the checker nor the
+    synthesiser calls them."""
+
+    def test_check_and_synthesis_call_no_predicate(self):
+        from repro.fairness import FairnessRequirement
+        from repro.workloads import nested_rings
+
+        system = nested_rings(6)
+        graph = explore(system)
+        calls = []
+
+        def counted(requirement):
+            def enabled_at(state):
+                calls.append(requirement.name)
+                return requirement.enabled_at(state)
+
+            def fulfilled_by(source, command, target):
+                calls.append(requirement.name)
+                return requirement.fulfilled_by(source, command, target)
+
+            return FairnessRequirement(
+                requirement.name, enabled_at, fulfilled_by, kind="command"
+            )
+
+        requirements = tuple(counted(r) for r in command_requirements(system))
+        synthesis = synthesize_measure(graph, requirements=requirements)
+        result = check_measure(
+            graph, synthesis.assignment(), requirements=requirements
+        )
+        assert result.is_fair_termination_measure
+        assert calls == []
+        # Reordered, the masks are remapped, still without a call.
+        reordered = requirements[::-1]
+        synthesis = synthesize_measure(graph, requirements=reordered)
+        result = check_measure(graph, synthesis.assignment(), requirements=reordered)
+        assert result.is_fair_termination_measure
+        assert calls == []
